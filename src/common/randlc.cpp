@@ -1,58 +1,44 @@
 #include "common/randlc.hpp"
 
-#include <cmath>
-
 namespace npb {
-namespace {
 
-constexpr double kR23 = 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 *
-                        0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5;
-constexpr double kT23 = 1.0 / kR23;
-constexpr double kR46 = kR23 * kR23;
-constexpr double kT46 = kT23 * kT23;
-
-}  // namespace
-
-double randlc(double& x, double a) noexcept {
-  // Split a = a1*2^23 + a2 and x = x1*2^23 + x2, then assemble
-  // z = a1*x2 + a2*x1 (mod 2^23) so that a*x = z*2^23 + a2*x2 (mod 2^46).
-  double t1 = kR23 * a;
-  const double a1 = std::trunc(t1);
-  const double a2 = a - kT23 * a1;
-
-  t1 = kR23 * x;
-  const double x1 = std::trunc(t1);
-  const double x2 = x - kT23 * x1;
-
-  t1 = a1 * x2 + a2 * x1;
-  const double t2 = std::trunc(kR23 * t1);
-  const double z = t1 - kT23 * t2;
-  const double t3 = kT23 * z + a2 * x2;
-  const double t4 = std::trunc(kR46 * t3);
-  x = t3 - kT46 * t4;
-  return kR46 * x;
-}
+using namespace rng_detail;
 
 void vranlc(std::size_t n, double& x, double a, double* y) noexcept {
-  for (std::size_t i = 0; i < n; ++i) y[i] = randlc(x, a);
+  // Four leapfrog streams, one step apart, each advancing by a^4: the four
+  // multiplies of an iteration are independent, so they overlap instead of
+  // waiting on each other.  A tail of n mod 4 serial steps finishes the run.
+  const std::uint64_t a1 = to_int(a);
+  std::uint64_t s = to_int(x);
+  std::size_t i = 0;
+  if (n >= 4) {
+    const std::uint64_t a2 = mul46(a1, a1);
+    const std::uint64_t a4 = mul46(a2, a2);
+    std::uint64_t st[4];
+    for (auto& v : st) v = s = mul46(a1, s);
+    for (;;) {
+      for (int k = 0; k < 4; ++k) y[i + k] = kR46 * to_double(st[k]);
+      if ((i += 4) + 4 > n) break;
+      for (auto& v : st) v = mul46(a4, v);
+    }
+    s = st[3];
+  }
+  for (; i < n; ++i) {
+    s = mul46(a1, s);
+    y[i] = kR46 * to_double(s);
+  }
+  x = to_double(s);
 }
 
 double randlc_skip(double seed, double a, unsigned long long steps) noexcept {
-  // Advance by computing a^steps (mod 2^46) via square-and-multiply, then a
-  // single randlc step with that composite multiplier per set bit.
-  double t = a;
-  double x = seed;
-  while (steps != 0) {
-    if (steps & 1ULL) (void)randlc(x, t);
-    steps >>= 1;
-    if (steps != 0) {
-      double tt = t;
-      (void)randlc(tt, t);
-      // randlc(tt, t) sets tt = t*tt mod 2^46 with tt==t, i.e. t^2.
-      t = tt;
-    }
+  // Square-and-multiply: x <- a^steps * x (mod 2^46).
+  std::uint64_t t = to_int(a);
+  std::uint64_t x = to_int(seed);
+  for (; steps != 0; steps >>= 1) {
+    if (steps & 1ULL) x = mul46(t, x);
+    t = mul46(t, t);
   }
-  return x;
+  return to_double(x);
 }
 
 }  // namespace npb

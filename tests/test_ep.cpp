@@ -40,6 +40,23 @@ TEST(Ep, JavaModeMatchesNativeExactly) {
     EXPECT_EQ(a.checksums[i], b.checksums[i]) << "checksum " << i;
 }
 
+// External anchor: the Gaussian sums of NPB's published ep.f verification
+// for class B (2^31 values), met within the NPB epsilon, plus the frozen
+// reference.  Four threads reduce in a different order than the serial run
+// the reference was frozen from, so sx/sy agree to rounding, counts exactly.
+TEST(Ep, ClassBMatchesPublishedNpbSums) {
+  RunConfig c;
+  c.cls = ProblemClass::B;
+  c.mode = Mode::Native;
+  c.threads = 4;
+  const RunResult r = run_ep(c);
+  EXPECT_TRUE(r.reference_checked);
+  EXPECT_TRUE(r.verified) << r.verify_detail;
+  ASSERT_EQ(r.checksums.size(), 13u);
+  EXPECT_TRUE(approx_equal(r.checksums[0], 4.033815542441498e4)) << r.checksums[0];
+  EXPECT_TRUE(approx_equal(r.checksums[1], -2.660669192809235e4)) << r.checksums[1];
+}
+
 class EpThreads : public ::testing::TestWithParam<int> {};
 
 TEST_P(EpThreads, ThreadedMatchesSerial) {
