@@ -98,7 +98,7 @@ void mem_table(const npb::benchutil::Args& args) {
         npb::RunConfig cfg;
         cfg.cls = args.cls;
         cfg.threads = th;
-        cfg.warmup_spins = args.warmup ? 1000000 : 0;
+        cfg.warmup_spins = args.warmup ? npb::kWarmupSpins : 0;
         cfg.schedule = args.schedule;
         cfg.mem = p.opt;
         const npb::RunResult r = npb::run_instrumented(fn, cfg);

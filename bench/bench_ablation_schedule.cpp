@@ -114,7 +114,7 @@ void schedule_table(const npb::benchutil::Args& args) {
       npb::RunConfig cfg;
       cfg.cls = args.cls;
       cfg.threads = threads;
-      cfg.warmup_spins = args.warmup ? 1000000 : 0;
+      cfg.warmup_spins = args.warmup ? npb::kWarmupSpins : 0;
       cfg.schedule = sched;
       cfg.mem = args.mem;
       const npb::RunResult r = npb::run_instrumented(fn, cfg);

@@ -79,7 +79,7 @@ void steal_table(const npb::benchutil::Args& args) {
       npb::RunConfig cfg;
       cfg.cls = args.cls;
       cfg.threads = threads;
-      cfg.warmup_spins = args.warmup ? 1000000 : 0;
+      cfg.warmup_spins = args.warmup ? npb::kWarmupSpins : 0;
       cfg.mem = args.mem;
       cfg.runtime = npb::Runtime::Spmd;
       const npb::RunResult spmd = npb::run_instrumented(fn, cfg);

@@ -48,13 +48,18 @@ int main(int argc, char** argv) {
     }
     t.add_row(row);
   };
-  auto mpi_row = [&](const char* name, RunResult (*fn)(ProblemClass, int)) {
+  auto mpi_row = [&](const char* name, RunResult (*fn)(const RunConfig&)) {
     std::vector<std::string> row{std::string(name) + " message-passing"};
     for (int th : args.threads) {
       if (th <= 0) continue;
       double secs = -1.0;
       try {
-        const RunResult r = fn(args.cls, th);
+        // th in-process ranks, no team per rank.
+        RunConfig cfg;
+        cfg.cls = args.cls;
+        cfg.mode = Mode::Msg;
+        cfg.msg.procs = th;
+        const RunResult r = fn(cfg);
         if (r.verified) {
           secs = r.seconds;
         } else {
@@ -70,16 +75,16 @@ int main(int argc, char** argv) {
   };
 
   threads_row("FT", &run_ft);
-  mpi_row("FT", &msg::run_ft_mpi);
+  mpi_row("FT", &msg::run_ft_msg);
   t.add_separator();
   threads_row("IS", &run_is);
-  mpi_row("IS", &msg::run_is_mpi);
+  mpi_row("IS", &msg::run_is_msg);
   t.add_separator();
   threads_row("EP", &run_ep);
-  mpi_row("EP", &msg::run_ep_mpi);
+  mpi_row("EP", &msg::run_ep_msg);
   t.add_separator();
   threads_row("CG", &run_cg);
-  mpi_row("CG", &msg::run_cg_mpi);
+  mpi_row("CG", &msg::run_cg_msg);
 
   std::fputs(t.render().c_str(), stdout);
   std::puts("\nMessage passing pays explicit pack/exchange/unpack (FT: two\n"

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   for (const auto& info : suite()) {
     RunConfig cfg;
     cfg.cls = args.cls;
-    cfg.warmup_spins = args.warmup ? 1000000 : 0;
+    cfg.warmup_spins = args.warmup ? kWarmupSpins : 0;
     cfg.schedule = args.schedule;
     cfg.mem = args.mem;
 

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     RunConfig cfg;
     cfg.cls = args.cls;
     cfg.mode = Mode::Java;
-    cfg.warmup_spins = args.warmup ? 1000000 : 0;
+    cfg.warmup_spins = args.warmup ? kWarmupSpins : 0;
     cfg.mem = args.mem;
 
     cfg.threads = 0;

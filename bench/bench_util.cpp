@@ -1,73 +1,78 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
+#include <utility>
 
 #include "npb/registry.hpp"
+#include "svc/options.hpp"
 
 namespace npb::benchutil {
 namespace {
 
-std::vector<int> parse_threads(const char* spec) {
+/// The npbrun flags a bench also accepts; each goes through its option-table
+/// row, so the benches parse and bound values exactly as npbrun does.
+constexpr std::string_view kBenchFlags[] = {
+    "--class", "--warmup", "--schedule", "--mem-align", "--first-touch",
+    "--huge-pages"};
+
+/// a.threads = "0,1,2", each entry bounded like npbrun's --threads.  A list
+/// with any negative, non-numeric or empty entry is rejected whole: it warns
+/// and keeps the previous value, like every bad bench flag.
+void set_threads(Args& a, const char* spec) {
+  const svc::OptionRow& row = *svc::find_flag("--threads");
   std::vector<int> out;
-  const char* p = spec;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    out.push_back(static_cast<int>(v));
-    p = *end == ',' ? end + 1 : end;
+  for (std::string_view rest = spec;;) {
+    const std::size_t comma = rest.find(',');
+    const auto n = svc::parse_bounded(rest.substr(0, comma), row.lo, row.hi);
+    if (!n) {
+      std::fprintf(stderr, "ignoring bad thread list '%s'\n", spec);
+      return;
+    }
+    out.push_back(static_cast<int>(*n));
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
   }
-  return out;
+  a.threads = std::move(out);
 }
 
 }  // namespace
 
 Args parse(int argc, char** argv, Args defaults) {
   Args a = defaults;
-  if (const char* env = std::getenv("NPB_CLASS")) {
-    if (const auto c = parse_class(env)) a.cls = *c;
-  }
-  if (const char* env = std::getenv("NPB_THREADS")) {
-    const auto t = parse_threads(env);
-    if (!t.empty()) a.threads = t;
-  }
+  RunConfig cfg;
+  cfg.cls = a.cls;
+  cfg.warmup_spins = a.warmup ? kWarmupSpins : 0;
+  cfg.schedule = a.schedule;
+  cfg.mem = a.mem;
+  if (const char* env = std::getenv("NPB_CLASS"))
+    svc::apply_flag(*svc::find_flag("--class"), env, cfg, nullptr);
+  if (const char* env = std::getenv("NPB_THREADS")) set_threads(a, env);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--class=", 8) == 0) {
-      if (const auto c = parse_class(arg + 8)) {
-        a.cls = *c;
-      } else {
-        std::fprintf(stderr, "unknown class '%s'\n", arg + 8);
-      }
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      const auto t = parse_threads(arg + 10);
-      if (!t.empty()) a.threads = t;
-    } else if (std::strcmp(arg, "--warmup") == 0) {
-      a.warmup = true;
-    } else if (std::strncmp(arg, "--schedule=", 11) == 0) {
-      if (const auto s = parse_schedule(arg + 11)) {
-        a.schedule = *s;
-      } else {
-        std::fprintf(stderr, "unknown schedule '%s'\n", arg + 11);
-      }
-    } else if (std::strncmp(arg, "--mem-align=", 12) == 0) {
-      if (const auto al = mem::parse_alignment(arg + 12)) {
-        a.mem.alignment = *al;
-      } else {
-        std::fprintf(stderr, "bad alignment '%s'\n", arg + 12);
-      }
-    } else if (std::strcmp(arg, "--first-touch") == 0) {
-      a.mem.placement = mem::Placement::FirstTouch;
-    } else if (std::strcmp(arg, "--huge-pages") == 0) {
-      a.mem.huge_pages = true;
+    const char* value = nullptr;
+    const svc::OptionRow* row = svc::find_arg(arg, &value);
+    std::string error;
+    if (std::strncmp(arg, "--threads=", 10) == 0) {
+      set_threads(a, arg + 10);
     } else if (std::strncmp(arg, "--obs-report=", 13) == 0) {
       a.obs_report = arg + 13;
-    } else {
+    } else if (row == nullptr ||
+               std::find(std::begin(kBenchFlags), std::end(kBenchFlags),
+                         row->flag) == std::end(kBenchFlags)) {
       std::fprintf(stderr, "ignoring unknown argument '%s'\n", arg);
+    } else if (!svc::apply_flag(*row, value, cfg, &error)) {
+      // Lenient, unlike npbrun: a bad value warns and keeps the default.
+      std::fprintf(stderr, "ignoring %s\n", error.c_str());
     }
   }
+  a.cls = cfg.cls;
+  a.warmup = cfg.warmup_spins != 0;
+  a.schedule = cfg.schedule;
+  a.mem = cfg.mem;
   return a;
 }
 

@@ -68,7 +68,11 @@ int main(int argc, char** argv) {
   std::printf("FT.S shared-memory threads (%d): %.3fs  %s\n", ranks, threaded.seconds,
               threaded.verified ? "verified" : "FAILED");
   if (64 % ranks == 0) {
-    const npb::RunResult mpi = npb::msg::run_ft_mpi(npb::ProblemClass::S, ranks);
+    npb::RunConfig mcfg;  // `ranks` in-process ranks, no team per rank
+    mcfg.cls = npb::ProblemClass::S;
+    mcfg.mode = npb::Mode::Msg;
+    mcfg.msg.procs = ranks;
+    const npb::RunResult mpi = npb::msg::run_ft_msg(mcfg);
     std::printf("FT.S message passing (%d ranks):  %.3fs  %s\n", ranks, mpi.seconds,
                 mpi.verified ? "verified" : "FAILED");
     std::printf("first checksum: threads %.12e vs mpi %.12e\n", threaded.checksums[0],

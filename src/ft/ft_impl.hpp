@@ -209,7 +209,8 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
   std::optional<TeamRef> team_storage;
   if (threads > 0) team_storage.emplace(threads, topts, pooled);
   WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
-  const mem::ScopedTeamPlacement placement(team, topts.schedule);
+  // Loops here partition statically whatever the team's default schedule.
+  const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   const FtState<P> st(p.n1, p.n2, p.n3);
   const std::size_t total = st.total();

@@ -143,7 +143,8 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
   std::optional<TeamRef> team_storage;
   if (threads > 0) team_storage.emplace(threads, topts, pooled);
   WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
-  const mem::ScopedTeamPlacement placement(team, topts.schedule);
+  // Loops here partition statically whatever the team's default schedule.
+  const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   Fields<P> f(prm.n);
   init_fields(f);
@@ -318,7 +319,8 @@ AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
   std::optional<TeamRef> team_storage;
   if (threads > 0) team_storage.emplace(threads, topts, pooled);
   WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
-  const mem::ScopedTeamPlacement placement(team, topts.schedule);
+  // Loops here partition statically whatever the team's default schedule.
+  const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   Fields<P> f(prm.n);
   init_fields(f);

@@ -79,8 +79,8 @@ class Communicator {
 };
 
 /// Owns an in-process transport and launches one thread per rank.  This is
-/// the original msg-layer entry point; tests and the run_*_mpi wrappers
-/// construct worlds directly.
+/// the original msg-layer entry point; tests and the inproc transport of
+/// the run_*_msg drivers construct worlds directly.
 class World {
  public:
   explicit World(int nranks) : transport_(nranks) {}

@@ -17,19 +17,6 @@
 #include "par/team.hpp"
 
 namespace npb::msg {
-namespace {
-
-TeamOptions shard_team_options(const RunConfig& cfg) {
-  TeamOptions topts;
-  topts.barrier = cfg.barrier;
-  topts.warmup_spins = cfg.warmup_spins;
-  topts.schedule = cfg.schedule;
-  topts.fused = cfg.fused;
-  topts.mode = Mode::Msg;
-  return topts;
-}
-
-}  // namespace
 
 RunResult run_ep_msg(const RunConfig& cfg) {
   using namespace ep_detail;
@@ -37,7 +24,7 @@ RunResult run_ep_msg(const RunConfig& cfg) {
   const long npairs = 1L << p.log2_pairs;
   const long nblocks = (npairs + kBlockPairs - 1) / kBlockPairs;
   const int nthreads = cfg.threads;
-  const TeamOptions topts = shard_team_options(cfg);
+  const TeamOptions topts = team_options(cfg);
 
   auto body = [&](Communicator& comm) -> std::vector<double> {
     comm.barrier();
@@ -116,7 +103,7 @@ RunResult run_cg_msg(const RunConfig& cfg) {
   using namespace cg_detail;
   const CgParams p = cg_params(cfg.cls);
   const int nthreads = cfg.threads;
-  const TeamOptions topts = shard_team_options(cfg);
+  const TeamOptions topts = team_options(cfg);
 
   auto body = [&](Communicator& comm) -> std::vector<double> {
     // Deterministic generation on every rank; each keeps only its row block
@@ -294,26 +281,6 @@ RunResult run_cg_msg(const RunConfig& cfg) {
   }
   r.verified = intrinsic && ref_ok;
   return r;
-}
-
-RunResult run_ep_mpi(ProblemClass cls, int ranks) {
-  RunConfig cfg;
-  cfg.cls = cls;
-  cfg.mode = Mode::Msg;
-  cfg.threads = 0;
-  cfg.msg.procs = ranks;
-  cfg.msg.transport = TransportKind::InProc;
-  return run_ep_msg(cfg);
-}
-
-RunResult run_cg_mpi(ProblemClass cls, int ranks) {
-  RunConfig cfg;
-  cfg.cls = cls;
-  cfg.mode = Mode::Msg;
-  cfg.threads = 0;
-  cfg.msg.procs = ranks;
-  cfg.msg.transport = TransportKind::InProc;
-  return run_cg_msg(cfg);
 }
 
 }  // namespace npb::msg

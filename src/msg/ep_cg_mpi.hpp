@@ -21,10 +21,4 @@ RunResult run_ep_msg(const RunConfig& cfg);
 /// dot partials in thread order; T <= 1 preserves the serial association.
 RunResult run_cg_msg(const RunConfig& cfg);
 
-/// Thread-sharded compatibility entry points (rank = one in-process thread,
-/// no team): equivalent to run_*_msg with procs = ranks over the inproc
-/// transport.
-RunResult run_ep_mpi(ProblemClass cls, int ranks);
-RunResult run_cg_mpi(ProblemClass cls, int ranks);
-
 }  // namespace npb::msg

@@ -25,16 +25,6 @@ using ft_detail::kFtSeed;
 
 using Buf = Array1<double, Unchecked>;
 
-TeamOptions shard_team_options(const RunConfig& cfg) {
-  TeamOptions topts;
-  topts.barrier = cfg.barrier;
-  topts.warmup_spins = cfg.warmup_spins;
-  topts.schedule = cfg.schedule;
-  topts.fused = cfg.fused;
-  topts.mode = Mode::Msg;
-  return topts;
-}
-
 /// Per-rank distributed FT state.  Two layouts alternate:
 ///  - slab1: rank owns i1 in [r*n1l, (r+1)*n1l), array (n1l, n2, n3);
 ///  - slab2 (after transpose): rank owns i2, array (n2l, n1, n3).
@@ -125,7 +115,7 @@ RunResult run_ft_msg(const RunConfig& cfg) {
   const FtParams p = ft_params(cfg.cls);
   const int niter = p.iterations;
   const int nthreads = cfg.threads;
-  const TeamOptions topts = shard_team_options(cfg);
+  const TeamOptions topts = team_options(cfg);
 
   auto width_ok = [&p](int w) {
     return w >= 1 && p.n1 % w == 0 && p.n2 % w == 0;
@@ -341,16 +331,6 @@ RunResult run_ft_msg(const RunConfig& cfg) {
   }
   r.verified = ref_ok;
   return r;
-}
-
-RunResult run_ft_mpi(ProblemClass cls, int ranks) {
-  RunConfig cfg;
-  cfg.cls = cls;
-  cfg.mode = Mode::Msg;
-  cfg.threads = 0;
-  cfg.msg.procs = ranks;
-  cfg.msg.transport = TransportKind::InProc;
-  return run_ft_msg(cfg);
 }
 
 }  // namespace npb::msg

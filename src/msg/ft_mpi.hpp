@@ -14,9 +14,4 @@ namespace npb::msg {
 /// bit-for-bit at every thread count and on both transports.
 RunResult run_ft_msg(const RunConfig& cfg);
 
-/// Thread-sharded compatibility entry point (rank = one in-process thread,
-/// no team): equivalent to run_ft_msg with procs = ranks over the inproc
-/// transport.
-RunResult run_ft_mpi(ProblemClass cls, int ranks);
-
 }  // namespace npb::msg

@@ -16,26 +16,13 @@
 #include "par/team.hpp"
 
 namespace npb::msg {
-namespace {
-
-TeamOptions shard_team_options(const RunConfig& cfg) {
-  TeamOptions topts;
-  topts.barrier = cfg.barrier;
-  topts.warmup_spins = cfg.warmup_spins;
-  topts.schedule = cfg.schedule;
-  topts.fused = cfg.fused;
-  topts.mode = Mode::Msg;
-  return topts;
-}
-
-}  // namespace
 
 RunResult run_is_msg(const RunConfig& cfg) {
   const IsParams p = is_params(cfg.cls);
   const long nkeys = p.total_keys;
   const long max_key = p.max_key;
   const int nthreads = cfg.threads;
-  const TeamOptions topts = shard_team_options(cfg);
+  const TeamOptions topts = team_options(cfg);
 
   auto body = [&](Communicator& comm) -> std::vector<double> {
     const Range my = partition(0, nkeys, comm.rank(), comm.size());
@@ -203,16 +190,6 @@ RunResult run_is_msg(const RunConfig& cfg) {
   }
   r.verified = intrinsic && ref_ok;
   return r;
-}
-
-RunResult run_is_mpi(ProblemClass cls, int ranks) {
-  RunConfig cfg;
-  cfg.cls = cls;
-  cfg.mode = Mode::Msg;
-  cfg.threads = 0;
-  cfg.msg.procs = ranks;
-  cfg.msg.transport = TransportKind::InProc;
-  return run_is_msg(cfg);
 }
 
 }  // namespace npb::msg

@@ -15,9 +15,4 @@ namespace npb::msg {
 /// order — checksums equal the shared-memory IS at every P and T.
 RunResult run_is_msg(const RunConfig& cfg);
 
-/// Thread-sharded compatibility entry point (rank = one in-process thread,
-/// no team): equivalent to run_is_msg with procs = ranks over the inproc
-/// transport.
-RunResult run_is_mpi(ProblemClass cls, int ranks);
-
 }  // namespace npb::msg

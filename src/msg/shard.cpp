@@ -19,8 +19,7 @@ HybridOutcome run_hybrid(const RunConfig& cfg,
 
   if (cfg.msg.transport == TransportKind::InProc) {
     // Thread-sharded: the original in-process world, with the fault session
-    // installed once in the parent (ranks share the process injector, as
-    // the run_*_mpi entry points always have).
+    // installed once in the parent (ranks share the process injector).
     fault::ScopedFaultSession session(cfg.fault);
     // With several rank threads each acting as a team master, their team
     // counters would all land in the registry's master slot concurrently —

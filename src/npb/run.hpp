@@ -13,10 +13,9 @@
 #include "obs/obs.hpp"
 #include "par/barrier.hpp"
 #include "par/schedule.hpp"
+#include "par/team.hpp"
 
 namespace npb {
-
-class WorkerTeam;
 
 /// One benchmark execution request.  `threads == 0` runs the plain serial
 /// code path (no team, no synchronization — the paper's "Serial" column);
@@ -57,8 +56,8 @@ struct RunConfig {
   /// Durable checkpoint/restart policy: --ckpt-dir enables flushes of the
   /// step-carried state every --ckpt-every steps, --resume restores the
   /// newest checkpoint and continues from the step after it.  Inactive by
-  /// default; requires a threaded (threads >= 1) shared-memory run — the
-  /// CLI rejects serial and msg-mode combinations up front.
+  /// default; requires a threaded (threads >= 1) shared-memory run —
+  /// svc::validate rejects serial and msg-mode combinations up front.
   ckpt::CkptOptions ckpt{};
   /// Pooled team to run on (service scheduler checkout), or null to build a
   /// private team.  Borrowed only when its width and TeamOptions match the
@@ -73,6 +72,18 @@ struct RunConfig {
   /// team's threads cannot cross fork()).
   msg::MsgOptions msg{};
 };
+
+/// The team a run's config asks for.  The only place TeamOptions are built
+/// from a RunConfig: every driver, the msg shards and the service pool go
+/// through it, so a pooled team built for a job is exactly the team the
+/// job's driver requests (and TeamRef borrows it).  Benchmarks whose loops
+/// partition statically still carry cfg.schedule here; they pin Schedule{}
+/// where they use a schedule themselves (first-touch placement).
+inline TeamOptions team_options(const RunConfig& cfg) {
+  return TeamOptions{cfg.barrier, cfg.warmup_spins, cfg.schedule,
+                     cfg.fused,   cfg.fault.watchdog_ms, cfg.mode,
+                     cfg.runtime};
+}
 
 /// The durable-checkpoint identity of one run: everything a --resume must
 /// match before restoring bytes into live arrays.  Each driver wrapper

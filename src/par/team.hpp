@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -50,6 +51,10 @@ struct alignas(64) PaddedAtomicDouble {
   std::atomic<double> v{0.0};
 };
 }  // namespace detail
+
+/// The paper's CG warm-up: spins each worker executes at startup when a run
+/// asks for --warmup (see TeamOptions::warmup_spins).
+inline constexpr long kWarmupSpins = 1000000;
 
 struct TeamOptions {
   BarrierKind barrier = BarrierKind::CondVar;
@@ -143,6 +148,13 @@ class WorkerTeam {
   /// SPMD region per iteration (TeamOptions::fused).
   bool fused() const noexcept { return opts_.fused; }
 
+  /// How many TeamRefs have borrowed this team so far.  The service
+  /// scheduler reads it around a job to report whether the driver really
+  /// ran on the pooled team or built a private one.
+  std::uint64_t borrows() const noexcept {
+    return borrows_.load(std::memory_order_relaxed);
+  }
+
   /// Executes fn(rank) on all workers; rethrows the first worker exception.
   /// The callable is dispatched as a (function-pointer, context) pair, so
   /// per-iteration lambdas in tight ADI sweeps pay no std::function
@@ -210,6 +222,7 @@ class WorkerTeam {
 
  private:
   friend class ReduceScratchGuard;
+  friend class TeamRef;
   using JobFn = void (*)(void*, int);
 
   template <class Fn>
@@ -269,6 +282,9 @@ class WorkerTeam {
   std::condition_variable wd_cv_;
   bool wd_stop_ = false;
   std::thread watchdog_;
+
+  /// Last, so adding it left the layout of the dispatch state unchanged.
+  std::atomic<std::uint64_t> borrows_{0};
 };
 
 /// RAII guard for the "one reduction in flight per team" scratch contract
@@ -301,7 +317,7 @@ class ReduceScratchGuard {
 /// borrows the pooled team only when it matches the requested shape exactly
 /// (same width, same TeamOptions) and otherwise builds its own — so a
 /// standalone `npbrun bt` behaves exactly as before, while a service job
-/// rides the pool's warm threads.  The borrowed team's lifetime is managed by
+/// rides the pool's warm threads (each borrow is counted, see borrows()).  The borrowed team's lifetime is managed by
 /// the pool; the owned team dies with the ref.
 class TeamRef {
  public:
@@ -309,6 +325,7 @@ class TeamRef {
     if (pooled != nullptr && pooled->size() == nthreads &&
         pooled->options() == opts) {
       team_ = pooled;
+      pooled->borrows_.fetch_add(1, std::memory_order_relaxed);
     } else {
       owned_ = std::make_unique<WorkerTeam>(nthreads, opts);
       team_ = owned_.get();

@@ -240,7 +240,8 @@ AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
   std::optional<TeamRef> team_storage;
   if (threads > 0) team_storage.emplace(threads, topts, pooled);
   WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
-  const mem::ScopedTeamPlacement placement(team, topts.schedule);
+  // Loops here partition statically whatever the team's default schedule.
+  const mem::ScopedTeamPlacement placement(team, Schedule{});
 
   Fields<P> f(prm.n);
   init_fields(f);

@@ -1,33 +1,14 @@
 #include "svc/cli.hpp"
 
 #include <cstring>
+#include <string_view>
 
-#include "fault/options.hpp"
 #include "irr/irr.hpp"
-#include "mem/mem.hpp"
-#include "msg/msg_suite.hpp"
 #include "npb/registry.hpp"
+#include "svc/options.hpp"
 
 namespace npb::svc {
 namespace {
-
-bool fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
-/// Strict non-negative integer parse for flag values: digits only, bounded;
-/// atoi-style silent zeros ('--threads=two' -> 0) are rejected instead.
-bool parse_flag_int(const char* s, int& out) {
-  if (*s == '\0' || std::strlen(s) > 9) return false;
-  int v = 0;
-  for (; *s != '\0'; ++s) {
-    if (*s < '0' || *s > '9') return false;
-    v = v * 10 + (*s - '0');
-  }
-  out = v;
-  return true;
-}
 
 /// "1,2,2,3" -> {1,2,2,3}; widths 0..32 (0 = a serial slot).
 bool parse_pool_widths(const char* s, std::vector<int>& out,
@@ -39,11 +20,11 @@ bool parse_pool_widths(const char* s, std::vector<int>& out,
       tok += *p;
       continue;
     }
-    int w = 0;
-    if (!parse_flag_int(tok.c_str(), w) || w > 32)
+    const auto w = parse_bounded(tok, 0, 32);
+    if (!w)
       return fail(error,
                   "bad pool width '" + tok + "' (want 0..32, comma-separated)");
-    out.push_back(w);
+    out.push_back(static_cast<int>(*w));
     tok.clear();
     if (*p == '\0') break;
   }
@@ -64,11 +45,11 @@ bool parse_serve_args(int argc, const char* const* argv, CliOptions& opts,
         return false;
       }
     } else if (std::strncmp(a, "--queue-cap=", 12) == 0) {
-      int v = 0;
-      if (!parse_flag_int(a + 12, v) || v < 1)
+      const auto v = parse_bounded(a + 12, 1, kMaxOptInt);
+      if (!v)
         return fail(error, "bad queue capacity '" + std::string(a + 12) +
                                "' (want a number >= 1)");
-      opts.queue_capacity = static_cast<std::size_t>(v);
+      opts.queue_capacity = static_cast<std::size_t>(*v);
     } else if (std::strncmp(a, "--service-report=", 17) == 0) {
       opts.service_report = a + 17;
     } else if (std::strcmp(a, "--verbose") == 0) {
@@ -80,67 +61,58 @@ bool parse_serve_args(int argc, const char* const* argv, CliOptions& opts,
   return true;
 }
 
+/// One synopsis entry: "--class=S|W|A|B|C", "--warmup", "--resume[=PATH]".
+std::string synopsis(const OptionRow& row) {
+  std::string s = row.flag;
+  if (row.kind == OptKind::Flag)
+    return row.metavar == nullptr ? s : s + "[=" + row.metavar + "]";
+  return s + "=" + row.metavar;
+}
+
+/// Appends "  SYNOPSIS  ("key")" and the help text wrapped under it.
+void add_help(std::string& out, const std::string& syn, const char* key,
+              std::string_view help) {
+  out += "  " + syn;
+  if (key != nullptr) out += std::string("  (\"") + key + "\")";
+  std::size_t col = 80;  // force a line break before the first word
+  while (!help.empty()) {
+    const std::size_t sp = help.find(' ');
+    const std::string_view word = help.substr(0, sp);
+    if (col + 1 + word.size() > 78) {
+      out += "\n     ";
+      col = 5;
+    }
+    out += ' ';
+    out += word;
+    col += 1 + word.size();
+    help.remove_prefix(sp == std::string_view::npos ? help.size() : sp + 1);
+  }
+  out += '\n';
+}
+
 }  // namespace
 
 std::string usage_text() {
-  return
-      "usage: npbrun <benchmark|all> [--class=S|W|A|B|C]\n"
-      "              [--mode=native|java|vec|msg] [--procs=P] [--transport=inproc|shm]\n"
-      "              [--runtime=spmd|steal] [--threads=N]\n"
-      "              [--barrier=condvar|spin] [--warmup] [--verbose]\n"
-      "              [--schedule=static|dynamic[,CHUNK]|guided[,MIN_CHUNK]]\n"
-      "              [--fused=on|off] [--mem-align=BYTES] [--first-touch]\n"
-      "              [--huge-pages] [--fault-spec=SPEC] [--watchdog-ms=N]\n"
-      "              [--max-retries=N] [--backoff-ms=N] [--no-degrade]\n"
-      "              [--ckpt-dir=DIR] [--ckpt-every=N] [--resume[=PATH]]\n"
-      "              [--obs-report=FILE]\n"
+  std::string s =
+      "usage: npbrun <benchmark|all> [OPTION...]\n"
       "       npbrun --serve[=JOBS.ndjson] [--pool=W,W,...] [--queue-cap=N]\n"
       "              [--service-report=FILE] [--verbose]\n"
-      "--mem-align takes a power of two (K/M suffixes allowed); --first-touch\n"
-      "initializes large arrays on the worker team with the compute schedule;\n"
-      "--huge-pages requests 2 MiB pages for buffers that large (Linux hint).\n"
-      "--schedule picks the loop schedule for CG/IS/MG/EP threaded loops\n"
-      "(pseudo-apps keep static slabs); dynamic/guided default CHUNK to\n"
-      "n/(16*threads) and MIN_CHUNK to 1.\n"
-      "--mode=msg runs the message-passing drivers (EP, CG, FT, IS only) as a\n"
-      "hybrid P-shard x N-thread job: --procs=P (1..16) picks the shard count\n"
-      "and --transport picks what carries them — inproc (default; ranks are\n"
-      "threads of this process) or shm (ranks are forked worker processes over\n"
-      "lock-free shared-memory rings, with per-shard obs merged into the\n"
-      "report and dead shards blamed under fault/lost_shard before the run\n"
-      "degrades to a narrower width).  Both flags require --mode=msg.\n"
-      "--runtime picks the parallel personality of the team threads: spmd\n"
-      "(default) is the chunk-queue SPMD translation, steal arms the\n"
-      "work-stealing task runtime — which only changes execution for the\n"
-      "irregular workloads (SORT, KNN, GETRF; run them by name); the regular\n"
-      "NPBs accept either value and run identically.  steal results verify by\n"
-      "invariants, not bit-identity, and are incompatible with --mode=msg.\n"
-      "--fused=on (default) runs each time step as one fused SPMD region;\n"
-      "--fused=off restores one fork/join per parallel loop (checksums are\n"
-      "bit-identical either way for a fixed schedule and thread count).\n"
-      "--fault-spec injects deterministic faults (repeatable, and one flag\n"
-      "may carry several comma-separated SPECs); SPEC is\n"
-      "SITE:KIND:STEP:RANK:SEED[:persist] with SITE one of\n"
-      "barrier|region|collective|queue|reduce|alloc|proc|steal|ckpt|*, KIND\n"
-      "one of throw|delay(MS)|nan-poison|alloc-fail|kill|corrupt, STEP/RANK a\n"
-      "number or *, and SEED the 0-based crossing of the site the fault fires\n"
-      "on (kill needs site proc; corrupt needs site ckpt or proc).  Recovery:\n"
-      "--max-retries per-step retries from checkpoint (default 3) with\n"
-      "--backoff-ms linear backoff (default 1), then team-shrink degradation\n"
-      "unless --no-degrade.  --watchdog-ms aborts a barrier stuck longer than\n"
-      "N ms so the step retries instead of hanging.\n"
-      "--ckpt-dir enables durable checkpointing: every Nth step\n"
-      "(--ckpt-every, default 1) the in-memory restart checkpoint is written\n"
-      "to DIR/<BENCH>-<CLASS>.ckpt — CRC32C-sealed, fsynced, atomically\n"
-      "renamed.  --resume (with --ckpt-dir, or --resume=PATH) validates the\n"
-      "file end-to-end and continues the named benchmark from the saved step;\n"
-      "the result must verify exactly as an uninterrupted run.  SIGINT or\n"
-      "SIGTERM flushes a final checkpoint plus the partial obs report first.\n"
-      "Exit codes: 0 verified, 1 verification failed, 2 usage error, 3 could\n"
-      "not run or recover, 4 interrupted but checkpointed (resumable).\n"
+      "options (a quoted name is the same knob as a --serve job-spec key):\n";
+  for (const OptionRow& row : option_table())
+    add_help(s, synopsis(row), row.key, row.help);
+  add_help(s, "--verbose", nullptr, "print each run's verification detail");
+  add_help(s, "--obs-report=FILE", nullptr,
+           "write region timers and team counters (JSON, or CSV for *.csv)");
+  s +=
+      "SPEC: SITE is barrier|region|collective|queue|reduce|alloc|proc|steal|"
+      "ckpt|*,\nKIND throw|delay(MS)|nan-poison|alloc-fail|kill|corrupt (kill "
+      "needs site proc,\ncorrupt site ckpt or proc), STEP/RANK a number or *, "
+      "SEED the 0-based\ncrossing of the site that fires.\n"
       "--serve reads one JSON job spec per line (file or stdin), runs them\n"
-      "concurrently on a pooled team runtime, and emits a service JSON\n"
-      "(per-job results + latency/utilization aggregates).\n";
+      "concurrently on a pooled team runtime, and emits a service JSON.\n"
+      "Exit codes: 0 verified, 1 verification failed, 2 usage error, 3 could\n"
+      "not run or recover, 4 interrupted but checkpointed (resumable).\n";
+  return s;
 }
 
 std::optional<CliOptions> parse_npbrun_args(int argc, const char* const* argv,
@@ -165,229 +137,27 @@ std::optional<CliOptions> parse_npbrun_args(int argc, const char* const* argv,
     fail(error, "unknown benchmark '" + opts.which + "'");
     return std::nullopt;
   }
-  RunConfig& cfg = opts.cfg;
-  bool saw_msg_flag = false;
-  bool saw_ckpt_every = false;
+  GivenRows given = 0;
   for (int i = 2; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--class=", 8) == 0) {
-      const auto c = parse_class(a + 8);
-      if (!c) {
-        fail(error, "bad class '" + std::string(a + 8) + "'");
-        return std::nullopt;
-      }
-      cfg.cls = *c;
-    } else if (std::strncmp(a, "--mode=", 7) == 0) {
-      const auto m = parse_mode(a + 7);
-      if (!m) {
-        fail(error, "bad mode '" + std::string(a + 7) +
-                        "' (want native, java, vec or msg)");
-        return std::nullopt;
-      }
-      cfg.mode = *m;
-    } else if (std::strncmp(a, "--procs=", 8) == 0) {
-      int v = 0;
-      if (!parse_flag_int(a + 8, v) || v < 1 || v > msg::kMaxShmProcs) {
-        fail(error, "bad proc count '" + std::string(a + 8) + "' (want 1.." +
-                        std::to_string(msg::kMaxShmProcs) + ")");
-        return std::nullopt;
-      }
-      cfg.msg.procs = v;
-      saw_msg_flag = true;
-    } else if (std::strncmp(a, "--transport=", 12) == 0) {
-      const auto t = msg::parse_transport(a + 12);
-      if (!t) {
-        fail(error, "bad transport '" + std::string(a + 12) +
-                        "' (want inproc or shm)");
-        return std::nullopt;
-      }
-      cfg.msg.transport = *t;
-      saw_msg_flag = true;
-    } else if (std::strncmp(a, "--runtime=", 10) == 0) {
-      const auto rt = parse_runtime(a + 10);
-      if (!rt) {
-        fail(error, "bad runtime '" + std::string(a + 10) +
-                        "' (want spmd or steal)");
-        return std::nullopt;
-      }
-      cfg.runtime = *rt;
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      if (!parse_flag_int(a + 10, cfg.threads)) {
-        fail(error, "bad thread count '" + std::string(a + 10) +
-                        "' (want a number >= 0)");
-        return std::nullopt;
-      }
-    } else if (std::strcmp(a, "--barrier=spin") == 0) {
-      cfg.barrier = BarrierKind::SpinSense;
-    } else if (std::strcmp(a, "--barrier=condvar") == 0) {
-      cfg.barrier = BarrierKind::CondVar;
-    } else if (std::strncmp(a, "--schedule=", 11) == 0) {
-      const auto s = parse_schedule(a + 11);
-      if (!s) {
-        fail(error, "bad schedule '" + std::string(a + 11) + "'");
-        return std::nullopt;
-      }
-      cfg.schedule = *s;
-    } else if (std::strncmp(a, "--fused=", 8) == 0) {
-      if (std::strcmp(a + 8, "on") == 0) {
-        cfg.fused = true;
-      } else if (std::strcmp(a + 8, "off") == 0) {
-        cfg.fused = false;
-      } else {
-        fail(error, "bad fused value '" + std::string(a + 8) +
-                        "' (want on or off)");
-        return std::nullopt;
-      }
-    } else if (std::strncmp(a, "--fault-spec=", 13) == 0) {
-      // One spec, or a comma-separated list (a spec's own grammar is all
-      // colons, so the comma is unambiguous).  Strict: any malformed entry
-      // — including an empty one from a stray comma — rejects the flag.
-      const std::string list(a + 13);
-      std::size_t start = 0;
-      for (;;) {
-        const std::size_t comma = list.find(',', start);
-        const std::string one =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        const auto spec = fault::parse_fault_spec(one);
-        if (!spec) {
-          fail(error,
-               "bad fault spec '" + one +
-                   "'\n(want SITE:KIND:STEP:RANK:SEED[:persist], e.g. "
-                   "region:throw:3:1:0 or barrier:delay(50):*:0:2;\n"
-                   " nan-poison requires site reduce, alloc-fail site alloc, "
-                   "kill site proc,\n corrupt site ckpt or proc; several "
-                   "specs may be comma-separated)");
-          return std::nullopt;
-        }
-        cfg.fault.specs.push_back(*spec);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (std::strncmp(a, "--watchdog-ms=", 14) == 0) {
-      int v = 0;
-      if (!parse_flag_int(a + 14, v)) {
-        fail(error,
-             "bad watchdog timeout '" + std::string(a + 14) + "' (want ms >= 0)");
-        return std::nullopt;
-      }
-      cfg.fault.watchdog_ms = v;
-    } else if (std::strncmp(a, "--max-retries=", 14) == 0) {
-      if (!parse_flag_int(a + 14, cfg.fault.max_retries)) {
-        fail(error, "bad retry count '" + std::string(a + 14) +
-                        "' (want a number >= 0)");
-        return std::nullopt;
-      }
-    } else if (std::strncmp(a, "--backoff-ms=", 13) == 0) {
-      if (!parse_flag_int(a + 13, cfg.fault.backoff_ms)) {
-        fail(error, "bad backoff '" + std::string(a + 13) + "' (want ms >= 0)");
-        return std::nullopt;
-      }
-    } else if (std::strcmp(a, "--no-degrade") == 0) {
-      cfg.fault.allow_degraded = false;
-    } else if (std::strncmp(a, "--ckpt-dir=", 11) == 0) {
-      if (a[11] == '\0') {
-        fail(error, "--ckpt-dir needs a directory path");
-        return std::nullopt;
-      }
-      cfg.ckpt.dir = a + 11;
-    } else if (std::strncmp(a, "--ckpt-every=", 13) == 0) {
-      int v = 0;
-      if (!parse_flag_int(a + 13, v) || v < 1) {
-        fail(error, "bad checkpoint cadence '" + std::string(a + 13) +
-                        "' (want a step count >= 1)");
-        return std::nullopt;
-      }
-      cfg.ckpt.every = v;
-      saw_ckpt_every = true;
-    } else if (std::strcmp(a, "--resume") == 0) {
-      cfg.ckpt.resume = true;
-    } else if (std::strncmp(a, "--resume=", 9) == 0) {
-      if (a[9] == '\0') {
-        fail(error, "--resume= needs a checkpoint file path (or use bare "
-                    "--resume with --ckpt-dir)");
-        return std::nullopt;
-      }
-      cfg.ckpt.resume = true;
-      cfg.ckpt.resume_path = a + 9;
-    } else if (std::strncmp(a, "--mem-align=", 12) == 0) {
-      const auto al = mem::parse_alignment(a + 12);
-      if (!al) {
-        fail(error, "bad alignment '" + std::string(a + 12) +
-                        "' (want a power of two)");
-        return std::nullopt;
-      }
-      cfg.mem.alignment = *al;
-    } else if (std::strcmp(a, "--first-touch") == 0) {
-      cfg.mem.placement = mem::Placement::FirstTouch;
-    } else if (std::strcmp(a, "--huge-pages") == 0) {
-      cfg.mem.huge_pages = true;
-    } else if (std::strcmp(a, "--warmup") == 0) {
-      cfg.warmup_spins = 1000000;
-    } else if (std::strcmp(a, "--verbose") == 0) {
+    if (std::strcmp(a, "--verbose") == 0) {
       opts.verbose = true;
-    } else if (std::strncmp(a, "--obs-report=", 13) == 0) {
+      continue;
+    }
+    if (std::strncmp(a, "--obs-report=", 13) == 0) {
       opts.obs_report = a + 13;
-    } else {
+      continue;
+    }
+    const char* value = nullptr;
+    const OptionRow* row = find_arg(a, &value);
+    if (row == nullptr) {
       fail(error, "unknown argument '" + std::string(a) + "'");
       return std::nullopt;
     }
+    if (!apply_flag(*row, value, opts.cfg, error)) return std::nullopt;
+    given |= row_bit(*row);
   }
-  if (saw_msg_flag && cfg.mode != Mode::Msg) {
-    fail(error, "--procs/--transport require --mode=msg");
-    return std::nullopt;
-  }
-  // The msg drivers dispatch ranks through the Transport layer, which has no
-  // task personality — a steal request there would silently run spmd, so
-  // reject it instead.
-  if (cfg.runtime == Runtime::Steal && cfg.mode == Mode::Msg) {
-    fail(error, "--runtime=steal is incompatible with --mode=msg (the "
-                "message-passing drivers have no task runtime)");
-    return std::nullopt;
-  }
-  if (cfg.mode == Mode::Msg && opts.which != "all" && opts.which != "ALL" &&
-      msg::find_msg_benchmark(opts.which) == nullptr) {
-    fail(error, "benchmark '" + opts.which +
-                    "' has no message-passing driver (msg mode runs EP, CG, "
-                    "FT or IS)");
-    return std::nullopt;
-  }
-  // Durable checkpointing only exists where a StepRunner runs: a threaded
-  // shared-memory NPB.  Reject the silent no-op combinations up front.
-  const bool saw_ckpt =
-      !cfg.ckpt.dir.empty() || cfg.ckpt.resume || saw_ckpt_every;
-  if (saw_ckpt) {
-    if (saw_ckpt_every && cfg.ckpt.dir.empty()) {
-      fail(error, "--ckpt-every requires --ckpt-dir");
-      return std::nullopt;
-    }
-    if (cfg.ckpt.resume && cfg.ckpt.resume_path.empty() &&
-        cfg.ckpt.dir.empty()) {
-      fail(error, "--resume needs --ckpt-dir to locate the checkpoint (or an "
-                  "explicit --resume=PATH)");
-      return std::nullopt;
-    }
-    if (cfg.threads < 1) {
-      fail(error, "checkpointing requires a threaded run (--threads=N with "
-                  "N >= 1); the serial path has no step runner");
-      return std::nullopt;
-    }
-    if (cfg.mode == Mode::Msg) {
-      fail(error, "checkpointing is incompatible with --mode=msg (shards "
-                  "carry their state in per-process memory)");
-      return std::nullopt;
-    }
-    if (find_irr_benchmark(opts.which) != nullptr) {
-      fail(error, "checkpointing is not supported for the irregular "
-                  "workloads (run one of the eight NPBs)");
-      return std::nullopt;
-    }
-    if (cfg.ckpt.resume && (opts.which == "all" || opts.which == "ALL")) {
-      fail(error, "--resume needs a single named benchmark, not 'all' (one "
-                  "checkpoint file describes one run)");
-      return std::nullopt;
-    }
-  }
+  if (!validate(opts.cfg, opts.which, given, error)) return std::nullopt;
   return opts;
 }
 

@@ -1,35 +1,15 @@
 #include "svc/jobspec.hpp"
 
-#include "common/classes.hpp"
-#include "common/mode.hpp"
-#include "fault/options.hpp"
 #include "irr/irr.hpp"
-#include "mem/mem.hpp"
 #include "npb/registry.hpp"
-#include "par/schedule.hpp"
+#include "svc/options.hpp"
 
 namespace npb::svc {
 namespace {
 
-bool fail(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
 bool want_string(const json::Value& v, const char* key, std::string* error) {
   if (v.is_string()) return true;
   return fail(error, std::string("key \"") + key + "\" must be a string");
-}
-
-bool want_bool(const json::Value& v, const char* key, std::string* error) {
-  if (v.is_bool()) return true;
-  return fail(error, std::string("key \"") + key + "\" must be a boolean");
-}
-
-bool want_count(const json::Value& v, const char* key, std::string* error) {
-  if (v.is_int() && v.as_int() >= 0) return true;
-  return fail(error,
-              std::string("key \"") + key + "\" must be an integer >= 0");
 }
 
 }  // namespace
@@ -42,6 +22,7 @@ std::optional<JobSpec> parse_job_spec(const json::Value& v,
   }
   JobSpec spec;
   bool have_benchmark = false;
+  GivenRows given = 0;
   for (const auto& [key, val] : v.entries()) {
     if (key == "id") {
       if (!want_string(val, "id", error)) return std::nullopt;
@@ -55,126 +36,9 @@ std::optional<JobSpec> parse_job_spec(const json::Value& v,
         return std::nullopt;
       }
       have_benchmark = true;
-    } else if (key == "class") {
-      if (!want_string(val, "class", error)) return std::nullopt;
-      const auto c = parse_class(val.as_string());
-      if (!c) {
-        fail(error, "bad class \"" + val.as_string() + "\"");
-        return std::nullopt;
-      }
-      spec.cfg.cls = *c;
-    } else if (key == "mode") {
-      if (!want_string(val, "mode", error)) return std::nullopt;
-      const auto m = parse_mode(val.as_string());
-      if (!m) {
-        fail(error, "bad mode \"" + val.as_string() +
-                        "\" (want native, java or vec)");
-        return std::nullopt;
-      }
-      if (*m == Mode::Msg) {
-        fail(error,
-             "mode \"msg\" is not schedulable as a service job (it forks "
-             "worker processes; run it via npbrun --mode=msg instead)");
-        return std::nullopt;
-      }
-      spec.cfg.mode = *m;
-    } else if (key == "threads") {
-      if (!want_count(val, "threads", error)) return std::nullopt;
-      spec.cfg.threads = static_cast<int>(val.as_int());
-    } else if (key == "barrier") {
-      if (!want_string(val, "barrier", error)) return std::nullopt;
-      if (val.as_string() == "spin") {
-        spec.cfg.barrier = BarrierKind::SpinSense;
-      } else if (val.as_string() == "condvar") {
-        spec.cfg.barrier = BarrierKind::CondVar;
-      } else {
-        fail(error, "bad barrier \"" + val.as_string() +
-                        "\" (want condvar or spin)");
-        return std::nullopt;
-      }
-    } else if (key == "schedule") {
-      if (!want_string(val, "schedule", error)) return std::nullopt;
-      const auto s = parse_schedule(val.as_string());
-      if (!s) {
-        fail(error, "bad schedule \"" + val.as_string() + "\"");
-        return std::nullopt;
-      }
-      spec.cfg.schedule = *s;
-    } else if (key == "fused") {
-      if (!want_bool(val, "fused", error)) return std::nullopt;
-      spec.cfg.fused = val.as_bool();
-    } else if (key == "align") {
-      if (!want_count(val, "align", error)) return std::nullopt;
-      const auto al = mem::parse_alignment(std::to_string(val.as_int()));
-      if (!al) {
-        fail(error, "bad align (want a power of two)");
-        return std::nullopt;
-      }
-      spec.cfg.mem.alignment = *al;
-    } else if (key == "first_touch") {
-      if (!want_bool(val, "first_touch", error)) return std::nullopt;
-      spec.cfg.mem.placement = val.as_bool() ? mem::Placement::FirstTouch
-                                             : mem::Placement::Serial;
-    } else if (key == "huge_pages") {
-      if (!want_bool(val, "huge_pages", error)) return std::nullopt;
-      spec.cfg.mem.huge_pages = val.as_bool();
-    } else if (key == "faults") {
-      if (!val.is_array()) {
-        fail(error, "key \"faults\" must be an array of spec strings");
-        return std::nullopt;
-      }
-      for (const json::Value& f : val.items()) {
-        if (!f.is_string()) {
-          fail(error, "key \"faults\" must be an array of spec strings");
-          return std::nullopt;
-        }
-        const auto fs = fault::parse_fault_spec(f.as_string());
-        if (!fs) {
-          fail(error, "bad fault spec \"" + f.as_string() + "\"");
-          return std::nullopt;
-        }
-        spec.cfg.fault.specs.push_back(*fs);
-      }
-    } else if (key == "watchdog_ms") {
-      if (!want_count(val, "watchdog_ms", error)) return std::nullopt;
-      spec.cfg.fault.watchdog_ms = static_cast<long>(val.as_int());
-    } else if (key == "max_retries") {
-      if (!want_count(val, "max_retries", error)) return std::nullopt;
-      spec.cfg.fault.max_retries = static_cast<int>(val.as_int());
-    } else if (key == "backoff_ms") {
-      if (!want_count(val, "backoff_ms", error)) return std::nullopt;
-      spec.cfg.fault.backoff_ms = static_cast<int>(val.as_int());
-    } else if (key == "no_degrade") {
-      if (!want_bool(val, "no_degrade", error)) return std::nullopt;
-      spec.cfg.fault.allow_degraded = !val.as_bool();
-    } else if (key == "runtime") {
-      if (!want_string(val, "runtime", error)) return std::nullopt;
-      const auto rt = parse_runtime(val.as_string());
-      if (!rt) {
-        fail(error, "bad runtime \"" + val.as_string() +
-                        "\" (want spmd or steal)");
-        return std::nullopt;
-      }
-      spec.cfg.runtime = *rt;
-    } else if (key == "warmup") {
-      if (!want_bool(val, "warmup", error)) return std::nullopt;
-      spec.cfg.warmup_spins = val.as_bool() ? 1000000 : 0;
-    } else if (key == "ckpt_dir") {
-      if (!want_string(val, "ckpt_dir", error)) return std::nullopt;
-      if (val.as_string().empty()) {
-        fail(error, "key \"ckpt_dir\" must not be empty");
-        return std::nullopt;
-      }
-      spec.cfg.ckpt.dir = val.as_string();
-    } else if (key == "ckpt_every") {
-      if (!val.is_int() || val.as_int() < 1) {
-        fail(error, "key \"ckpt_every\" must be an integer >= 1");
-        return std::nullopt;
-      }
-      spec.cfg.ckpt.every = static_cast<int>(val.as_int());
-    } else if (key == "resume") {
-      if (!want_bool(val, "resume", error)) return std::nullopt;
-      spec.cfg.ckpt.resume = val.as_bool();
+    } else if (const OptionRow* row = find_key(key)) {
+      if (!apply_key(*row, val, spec.cfg, error)) return std::nullopt;
+      given |= row_bit(*row);
     } else {
       fail(error, "unknown key \"" + key + "\"");
       return std::nullopt;
@@ -184,16 +48,13 @@ std::optional<JobSpec> parse_job_spec(const json::Value& v,
     fail(error, "missing required key \"benchmark\"");
     return std::nullopt;
   }
-  if (spec.cfg.ckpt.dir.empty() &&
-      (spec.cfg.ckpt.resume || spec.cfg.ckpt.every != 1)) {
-    fail(error, "\"ckpt_every\"/\"resume\" require \"ckpt_dir\"");
+  if (spec.cfg.mode == Mode::Msg) {
+    fail(error,
+         "mode \"msg\" is not schedulable as a service job (it forks "
+         "worker processes; run it via npbrun --mode=msg instead)");
     return std::nullopt;
   }
-  if (!spec.cfg.ckpt.dir.empty() &&
-      find_irr_benchmark(spec.benchmark) != nullptr) {
-    fail(error, "checkpointing is not supported for the irregular workloads");
-    return std::nullopt;
-  }
+  if (!validate(spec.cfg, spec.benchmark, given, error)) return std::nullopt;
   return spec;
 }
 

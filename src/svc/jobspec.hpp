@@ -2,9 +2,11 @@
 
 // Job requests for the benchmark service: one JSON object per line
 // (newline-delimited JSON), each naming a benchmark plus the same knobs the
-// npbrun flags expose.  Parsing is strict — an unknown key, a wrong type, or
-// an invalid value (bad class, malformed fault spec) is an error naming the
-// offending key, never a silently defaulted job.  Spec schema:
+// npbrun flags expose: every key is a row of the option table
+// (svc/options.hpp), with the flag's bounds and cross-field rules.  Parsing
+// is strict — an unknown key, a wrong type, or an invalid value (bad class,
+// malformed fault spec) is an error naming the offending key, never a
+// silently defaulted job.  Spec schema:
 //
 //   {"benchmark":"cg","class":"S","threads":2}                    // minimal
 //   {"id":"j7","benchmark":"mg","class":"S","mode":"vec",

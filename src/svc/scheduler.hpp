@@ -49,7 +49,7 @@ struct JobOutcome {
   double run_seconds = 0.0;   ///< driver span
   std::uint64_t faults_injected = 0;
   int degraded_width = 0;     ///< 0 = never degraded
-  bool pooled_team = false;   ///< ran on a borrowed pool entry
+  bool pooled_team = false;   ///< the driver borrowed the leased pool team
 };
 
 struct SchedulerOptions {

@@ -314,13 +314,16 @@ TEST(SvcCkpt, JobSpecParsesCkptKeysAndRejectsBadCombos) {
   EXPECT_TRUE((*ok)[0].cfg.ckpt.resume);
 
   // resume/ckpt_every without ckpt_dir, empty dir, bad cadence, irregular
-  // workloads: all strict parse errors, never a silently ignored key.
+  // workloads, the serial path: all strict parse errors, never a silently
+  // ignored key.
   const char* bad[] = {
       R"({"benchmark":"CG","resume":true})",
       R"({"benchmark":"CG","ckpt_every":2})",
       R"({"benchmark":"CG","ckpt_dir":""})",
       R"({"benchmark":"CG","ckpt_dir":"ck","ckpt_every":0})",
       R"({"benchmark":"SORT","ckpt_dir":"ck"})",
+      R"({"benchmark":"CG","ckpt_every":1})",
+      R"({"benchmark":"CG","ckpt_dir":"d","threads":0})",
   };
   for (const char* line : bad) {
     EXPECT_FALSE(svc::parse_job_stream(std::string(line) + "\n", &err)

@@ -147,6 +147,8 @@ TEST(JobSpec, StrictRejectionNamesTheProblem) {
       {"{\"benchmark\":\"cg\",\"schedule\":\"fifo\"}", "schedule"},
       {"{\"benchmark\":\"cg\",\"faults\":[\"oops\"]}", "fault"},
       {"{\"benchmark\":\"cg\",\"threads\":-1}", "threads"},
+      {"{\"benchmark\":\"cg\",\"threads\":4294967298}", "threads"},  // no wrap
+      {"{\"benchmark\":\"cg\",\"max_retries\":2147483648}", "max_retries"},
       {"{\"benchmark\":\"cg\",\"runtime\":\"fibers\"}", "runtime"},
       {"[\"not an object\"]", "object"},
   };
@@ -356,6 +358,7 @@ TEST(Cli, MalformedFlagsAreRejectedWithAMessage) {
       {"all", "--threads=2", "--ckpt-dir=ck", "--resume"},  // resume needs one
       {"CG", "--fault-spec=ckpt:throw:*:0:0"},   // ckpt site is corrupt-only
       {"CG", "--fault-spec=*:corrupt:*:0:0"},    // corrupt needs a named site
+      {"CG", "--mode=msg", "--watchdog-ms=50"},  // shards have no watchdog
   };
   for (const auto& args : bad) {
     std::string error;

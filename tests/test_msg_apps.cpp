@@ -22,17 +22,30 @@
 namespace npb {
 namespace {
 
+/// `ranks` message-passing ranks as threads of this process, no team per
+/// rank: the thread-sharded layout the related-work ports used.
+RunConfig rank_config(ProblemClass cls, int ranks) {
+  RunConfig cfg;
+  cfg.cls = cls;
+  cfg.mode = Mode::Msg;
+  cfg.threads = 0;
+  cfg.msg.procs = ranks;
+  cfg.msg.transport = msg::TransportKind::InProc;
+  return cfg;
+}
+
 class FtMpiRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(FtMpiRanks, MatchesFrozenReference) {
-  const RunResult r = msg::run_ft_mpi(ProblemClass::S, GetParam());
+  const RunResult r = msg::run_ft_msg(rank_config(ProblemClass::S, GetParam()));
   EXPECT_TRUE(r.verified) << r.verify_detail;
   EXPECT_TRUE(r.reference_checked);
   EXPECT_EQ(r.checksums.size(), 12u);
 }
 
 TEST_P(FtMpiRanks, AgreesWithSharedMemoryFt) {
-  const RunResult mpi = msg::run_ft_mpi(ProblemClass::S, GetParam());
+  const RunResult mpi =
+      msg::run_ft_msg(rank_config(ProblemClass::S, GetParam()));
   RunConfig cfg;
   cfg.cls = ProblemClass::S;
   const RunResult shm = run_ft(cfg);
@@ -46,27 +59,30 @@ TEST_P(FtMpiRanks, AgreesWithSharedMemoryFt) {
 INSTANTIATE_TEST_SUITE_P(Ranks, FtMpiRanks, ::testing::Values(1, 2, 4, 8));
 
 TEST(FtMpi, RejectsNonDividingRankCounts) {
-  EXPECT_THROW(msg::run_ft_mpi(ProblemClass::S, 3), std::invalid_argument);
-  EXPECT_THROW(msg::run_ft_mpi(ProblemClass::S, 0), std::invalid_argument);
+  EXPECT_THROW(msg::run_ft_msg(rank_config(ProblemClass::S, 3)),
+               std::invalid_argument);
+  EXPECT_THROW(msg::run_ft_msg(rank_config(ProblemClass::S, 0)),
+               std::invalid_argument);
 }
 
 TEST(FtMpi, NonCubicClassW) {
   // W is 128x128x32: exercises distinct per-axis lengths through the
   // transpose. 4 divides both n1 and n2.
-  const RunResult r = msg::run_ft_mpi(ProblemClass::W, 4);
+  const RunResult r = msg::run_ft_msg(rank_config(ProblemClass::W, 4));
   EXPECT_TRUE(r.verified) << r.verify_detail;
 }
 
 class IsMpiRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(IsMpiRanks, MatchesFrozenReferenceExactly) {
-  const RunResult r = msg::run_is_mpi(ProblemClass::S, GetParam());
+  const RunResult r = msg::run_is_msg(rank_config(ProblemClass::S, GetParam()));
   EXPECT_TRUE(r.verified) << r.verify_detail;
   EXPECT_TRUE(r.reference_checked);
 }
 
 TEST_P(IsMpiRanks, BitwiseEqualToSharedMemoryIs) {
-  const RunResult mpi = msg::run_is_mpi(ProblemClass::S, GetParam());
+  const RunResult mpi =
+      msg::run_is_msg(rank_config(ProblemClass::S, GetParam()));
   RunConfig cfg;
   cfg.cls = ProblemClass::S;
   const RunResult shm = run_is(cfg);
@@ -81,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(Ranks, IsMpiRanks, ::testing::Values(1, 2, 3, 5, 7, 8))
 class EpMpiRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(EpMpiRanks, MatchesFrozenReference) {
-  const RunResult r = msg::run_ep_mpi(ProblemClass::S, GetParam());
+  const RunResult r = msg::run_ep_msg(rank_config(ProblemClass::S, GetParam()));
   EXPECT_TRUE(r.verified) << r.verify_detail;
   EXPECT_TRUE(r.reference_checked);
 }
@@ -91,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(Ranks, EpMpiRanks, ::testing::Values(1, 2, 3, 4));
 class CgMpiRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(CgMpiRanks, MatchesFrozenReference) {
-  const RunResult r = msg::run_cg_mpi(ProblemClass::S, GetParam());
+  const RunResult r = msg::run_cg_msg(rank_config(ProblemClass::S, GetParam()));
   EXPECT_TRUE(r.verified) << r.verify_detail;
   EXPECT_TRUE(r.reference_checked);
 }
@@ -100,7 +116,7 @@ TEST_P(CgMpiRanks, AgreesWithSharedMemoryCgBitwiseAtEqualWorkerCounts) {
   // Same row partition and same rank-ordered reduction association as the
   // threaded conj_grad => identical floating-point trajectories.
   const int workers = GetParam();
-  const RunResult mpi = msg::run_cg_mpi(ProblemClass::S, workers);
+  const RunResult mpi = msg::run_cg_msg(rank_config(ProblemClass::S, workers));
   RunConfig cfg;
   cfg.cls = ProblemClass::S;
   cfg.threads = workers;

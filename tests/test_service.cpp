@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "npb/registry.hpp"
 #include "obs/obs.hpp"
 #include "svc/scheduler.hpp"
 #include "tolerance.hpp"
@@ -151,6 +152,30 @@ TEST(ServiceDifferential, ConcurrentMatrixMatchesSequential) {
   EXPECT_EQ(stats.jobs_failed, 0u);
   EXPECT_EQ(stats.jobs_unverified, 0u);
   EXPECT_EQ(stats.jobs_degraded, 1u);
+}
+
+TEST(ServiceProperties, EveryScheduleRunsOnThePooledTeam) {
+  // The pool builds each team from the job's config exactly as the driver
+  // does, so every suite benchmark under every schedule borrows it (BT, SP,
+  // LU and FT included, whose loops partition statically regardless).
+  SchedulerOptions opts;
+  opts.pool_widths = {2};
+  JobScheduler scheduler(opts);
+  const npb::Schedule schedules[] = {kStatic,
+                                     {npb::Schedule::Kind::Dynamic, 8},
+                                     {npb::Schedule::Kind::Guided, 2}};
+  for (const npb::BenchmarkInfo& b : npb::suite())
+    for (const npb::Schedule& sched : schedules)
+      scheduler.submit_wait(make_spec(
+          std::string(b.name) + "-" + npb::to_string(sched), b.name, 2, sched));
+  const std::vector<JobOutcome> outcomes = scheduler.drain();
+  ASSERT_EQ(outcomes.size(), 3 * npb::suite().size());
+  for (const JobOutcome& out : outcomes) {
+    SCOPED_TRACE(out.spec.id);
+    EXPECT_TRUE(out.completed) << out.error;
+    EXPECT_TRUE(out.verified) << out.result.verify_detail;
+    EXPECT_TRUE(out.pooled_team);
+  }
 }
 
 TEST(ServiceProperties, NoWidthOversubscription) {
