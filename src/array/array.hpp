@@ -47,6 +47,28 @@ class Array1 {
   std::size_t n_ = 0;
 };
 
+/// A small array of compile-time length N held inside the object — on the
+/// stack for a local — for a per-cell kernel's workspace (LU's diagonal
+/// block and 5-vectors).  Zero-initialized like a Java `new double[N]`, and
+/// policy-checked per access exactly like Array1.
+template <class T, std::size_t N, class P>
+class FixedArray {
+ public:
+  T& operator[](std::size_t i) {
+    P::on_access();
+    P::bounds(i, N);
+    return v_[i];
+  }
+  const T& operator[](std::size_t i) const {
+    P::on_access();
+    P::bounds(i, N);
+    return v_[i];
+  }
+
+ private:
+  T v_[N]{};
+};
+
 template <class T, class P>
 class Array2 {
  public:

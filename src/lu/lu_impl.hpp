@@ -24,114 +24,87 @@ using namespace pseudoapp;
 
 inline constexpr double kOmega = 1.2;  ///< SSOR relaxation (NPB uses 1.2)
 
-/// Per-thread cell workspace: one neighbour block, the diagonal block, and
-/// the 5-vector being relaxed (NPB's tv).
-template <class P>
-struct CellWork {
-  Array1<double, P> nb{25};
-  Array1<double, P> d{25};
-  Array1<double, P> tv{5};
-};
+/// Sweep directions: the lower sweep (NPB jacld/blts) couples each cell to
+/// its p - e_d neighbours, the upper sweep (jacu/buts) to its p + e_d ones.
+inline constexpr int kLower = -1;
+inline constexpr int kUpper = +1;
 
-/// Builds omega * dt * (s * phi * Ad / 2h - nu/h^2 I) into ws.nb — the
-/// lower (s = -1) or upper (s = +1) neighbour coupling block (jacld/jacu).
 template <class P>
-void build_neighbour(const System& sys, const Mat5& Ad, double ph, double h,
-                     double dt, double s, CellWork<P>& ws) {
-  const double inv2h = 1.0 / (2.0 * h);
-  const double invh2 = 1.0 / (h * h);
-  for (int i = 0; i < kComps; ++i)
-    for (int j = 0; j < kComps; ++j) {
-      const auto e = static_cast<std::size_t>(i * kComps + j);
-      const double conv = s * ph * Ad[e] * inv2h;
-      const double diff = i == j ? sys.nu * invh2 : 0.0;
-      ws.nb[e] = kOmega * dt * (conv - diff);
+using CellVec = FixedArray<double, kComps, P>;
+
+/// tv -= N v (lower) or tv += N v (upper) for the neighbour n = p + S e_d,
+/// with N = omega * dt * (S * phi * Ad / 2h - nu/h^2 I) the neighbour
+/// coupling block (NPB jacld/jacu).  Each entry of N is computed at its
+/// use, so the block never goes through memory; v is read once.
+template <int S, class P>
+[[gnu::always_inline]] inline void couple(const Fields<P>& f, const Mat5& Ad, double ph,
+                                          double dt, std::size_t ni, std::size_t nj,
+                                          std::size_t nk, CellVec<P>& tv) {
+  const double s = S;
+  const double inv2h = 1.0 / (2.0 * f.h);
+  const double invh2 = 1.0 / (f.h * f.h);
+  CellVec<P> v;
+  NPB_FIXED_FOR(P, (int l = 0; l < kComps; ++l), {
+    v[static_cast<std::size_t>(l)] = f.rhs(ni, nj, nk, static_cast<std::size_t>(l));
+  })
+  NPB_FIXED_FOR(P, (int m = 0; m < kComps; ++m), {
+    double sum = 0.0;
+    NPB_FIXED_FOR(P, (int l = 0; l < kComps; ++l), {
+      const double conv = s * ph * Ad[static_cast<std::size_t>(m * kComps + l)] * inv2h;
+      const double diff = m == l ? f.sys.nu * invh2 : 0.0;
+      const double nml = kOmega * dt * (conv - diff);
+      sum += nml * v[static_cast<std::size_t>(l)];
       P::flops(5);
-    }
+      P::muladds(1);
+    })
+    if constexpr (S == kLower)
+      tv[static_cast<std::size_t>(m)] -= sum;
+    else
+      tv[static_cast<std::size_t>(m)] += sum;
+    P::flops(11);
+  })
 }
 
-/// Builds and factors the diagonal block D = I + dt (6 nu/h^2 + 18 eps4) I
-/// + dt sigma phi B into ws.d.
-template <class P>
-void build_diagonal(const System& sys, double ph, double h, double dt,
-                    CellWork<P>& ws) {
-  const double invh2 = 1.0 / (h * h);
-  const double diag = 1.0 + dt * (6.0 * sys.nu * invh2 + 18.0 * sys.eps4);
-  for (int i = 0; i < kComps; ++i)
-    for (int j = 0; j < kComps; ++j) {
-      const auto e = static_cast<std::size_t>(i * kComps + j);
-      ws.d[e] = (i == j ? diag : 0.0) +
-                dt * sys.sigma * ph * sys.reaction[e];
+/// Relaxes cell (i, j, k) in sweep direction S.  Lower (NPB blts):
+/// rhs(p) = D^{-1} (dt*rhs(p) - sum of lower-neighbour couplings).  Upper
+/// (NPB buts): rhs(p) -= D^{-1} (sum of upper-neighbour couplings).  The
+/// diagonal block D = I + dt (6 nu/h^2 + 18 eps4) I + dt sigma phi B is
+/// built and factored afresh for every cell, as NPB does.
+template <int S, class P>
+void relax_cell(Fields<P>& f, double dt, long i, long j, long k) {
+  const auto I = static_cast<std::size_t>(i);
+  const auto J = static_cast<std::size_t>(j);
+  const auto K = static_cast<std::size_t>(k);
+  const double ph = f.phi(I, J, K);
+  CellVec<P> tv;
+  if constexpr (S == kLower) {
+    NPB_FIXED_FOR(P, (int m = 0; m < kComps; ++m), {
+      tv[static_cast<std::size_t>(m)] = dt * f.rhs(I, J, K, static_cast<std::size_t>(m));
+    })
+  }
+  const auto nb = [](std::size_t c) { return S == kLower ? c - 1 : c + 1; };
+  couple<S>(f, f.sys.ax, ph, dt, nb(I), J, K, tv);
+  couple<S>(f, f.sys.ay, ph, dt, I, nb(J), K, tv);
+  couple<S>(f, f.sys.az, ph, dt, I, J, nb(K), tv);
+
+  FixedArray<double, 25, P> d;
+  const double invh2 = 1.0 / (f.h * f.h);
+  const double diag = 1.0 + dt * (6.0 * f.sys.nu * invh2 + 18.0 * f.sys.eps4);
+  NPB_FIXED_FOR(P, (int r = 0; r < kComps; ++r), {
+    NPB_FIXED_FOR(P, (int c = 0; c < kComps; ++c), {
+      const auto e = static_cast<std::size_t>(r * kComps + c);
+      d[e] = (r == c ? diag : 0.0) + dt * f.sys.sigma * ph * f.sys.reaction[e];
       P::flops(3);
-    }
-  lu5_factor<P>(ws.d, 0);
-}
-
-/// Forward relaxation of one cell (NPB blts): overwrites rhs(p) with
-/// D^{-1} (dt*rhs(p) - omega * sum of lower-neighbour couplings).
-template <class P>
-void relax_lower(Fields<P>& f, double dt, long i, long j, long k, CellWork<P>& ws) {
-  const auto I = static_cast<std::size_t>(i);
-  const auto J = static_cast<std::size_t>(j);
-  const auto K = static_cast<std::size_t>(k);
-  const double ph = f.phi(I, J, K);
-  for (int m = 0; m < kComps; ++m)
-    ws.tv[static_cast<std::size_t>(m)] = dt * f.rhs(I, J, K, static_cast<std::size_t>(m));
-
-  auto couple = [&](const Mat5& Ad, std::size_t ni, std::size_t nj, std::size_t nk) {
-    build_neighbour(f.sys, Ad, ph, f.h, dt, -1.0, ws);
-    for (int m = 0; m < kComps; ++m) {
-      double s = 0.0;
-      for (int l = 0; l < kComps; ++l) {
-        s += ws.nb[static_cast<std::size_t>(m * kComps + l)] *
-             f.rhs(ni, nj, nk, static_cast<std::size_t>(l));
-        P::muladds(1);
-      }
-      ws.tv[static_cast<std::size_t>(m)] -= s;
-      P::flops(11);
-    }
-  };
-  couple(f.sys.ax, I - 1, J, K);
-  couple(f.sys.ay, I, J - 1, K);
-  couple(f.sys.az, I, J, K - 1);
-
-  build_diagonal(f.sys, ph, f.h, dt, ws);
-  lu5_solve_vec<P>(ws.d, 0, ws.tv, 0);
-  for (int m = 0; m < kComps; ++m)
-    f.rhs(I, J, K, static_cast<std::size_t>(m)) = ws.tv[static_cast<std::size_t>(m)];
-}
-
-/// Backward relaxation of one cell (NPB buts): rhs(p) -= D^{-1} (omega *
-/// sum of upper-neighbour couplings).
-template <class P>
-void relax_upper(Fields<P>& f, double dt, long i, long j, long k, CellWork<P>& ws) {
-  const auto I = static_cast<std::size_t>(i);
-  const auto J = static_cast<std::size_t>(j);
-  const auto K = static_cast<std::size_t>(k);
-  const double ph = f.phi(I, J, K);
-  for (int m = 0; m < kComps; ++m) ws.tv[static_cast<std::size_t>(m)] = 0.0;
-
-  auto couple = [&](const Mat5& Ad, std::size_t ni, std::size_t nj, std::size_t nk) {
-    build_neighbour(f.sys, Ad, ph, f.h, dt, +1.0, ws);
-    for (int m = 0; m < kComps; ++m) {
-      double s = 0.0;
-      for (int l = 0; l < kComps; ++l) {
-        s += ws.nb[static_cast<std::size_t>(m * kComps + l)] *
-             f.rhs(ni, nj, nk, static_cast<std::size_t>(l));
-        P::muladds(1);
-      }
-      ws.tv[static_cast<std::size_t>(m)] += s;
-      P::flops(11);
-    }
-  };
-  couple(f.sys.ax, I + 1, J, K);
-  couple(f.sys.ay, I, J + 1, K);
-  couple(f.sys.az, I, J, K + 1);
-
-  build_diagonal(f.sys, ph, f.h, dt, ws);
-  lu5_solve_vec<P>(ws.d, 0, ws.tv, 0);
-  for (int m = 0; m < kComps; ++m)
-    f.rhs(I, J, K, static_cast<std::size_t>(m)) -= ws.tv[static_cast<std::size_t>(m)];
+    })
+  })
+  lu5_factor<P>(d, 0);
+  lu5_solve_vec<P>(d, 0, tv, 0);
+  NPB_FIXED_FOR(P, (int m = 0; m < kComps; ++m), {
+    if constexpr (S == kLower)
+      f.rhs(I, J, K, static_cast<std::size_t>(m)) = tv[static_cast<std::size_t>(m)];
+    else
+      f.rhs(I, J, K, static_cast<std::size_t>(m)) -= tv[static_cast<std::size_t>(m)];
+  })
 }
 
 template <class P>
@@ -183,7 +156,6 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
   // the width actually running (smaller than `threads` after a degraded
   // retry); the PipelineSync cells above nt simply stay idle.
   auto step_body = [&](ParallelRegion& rg, int rank, int nt, bool rhs_in_region) {
-    CellWork<P> ws;
     const Range jr = partition(1, n - 1, rank, nt);
     if (rhs_in_region) {
       {
@@ -201,7 +173,7 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
       for (long i = 1; i < n - 1; ++i) {
         if (rank > 0) sync_lower.wait_for(rank - 1, i);
         for (long j = jr.lo; j < jr.hi; ++j)
-          for (long k = 1; k < n - 1; ++k) relax_lower(f, dt, i, j, k, ws);
+          for (long k = 1; k < n - 1; ++k) relax_cell<kLower>(f, dt, i, j, k);
         sync_lower.post(rank, i);
       }
     }
@@ -212,7 +184,7 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
         const long step = (n - 2) - i;
         if (rank < nt - 1) sync_upper.wait_for(rank + 1, step);
         for (long j = jr.hi - 1; j >= jr.lo; --j)
-          for (long k = n - 2; k >= 1; --k) relax_upper(f, dt, i, j, k, ws);
+          for (long k = n - 2; k >= 1; --k) relax_cell<kUpper>(f, dt, i, j, k);
         sync_upper.post(rank, step);
       }
     }
@@ -244,18 +216,17 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
         obs::ScopedTimer ot(r_rhs);
         do_rhs();
       }
-      CellWork<P> ws;
-      {
+        {
         obs::ScopedTimer ot(r_lower);
         for (long i = 1; i < n - 1; ++i)
           for (long j = 1; j < n - 1; ++j)
-            for (long k = 1; k < n - 1; ++k) relax_lower(f, dt, i, j, k, ws);
+            for (long k = 1; k < n - 1; ++k) relax_cell<kLower>(f, dt, i, j, k);
       }
       {
         obs::ScopedTimer ot(r_upper);
         for (long i = n - 2; i >= 1; --i)
           for (long j = n - 2; j >= 1; --j)
-            for (long k = n - 2; k >= 1; --k) relax_upper(f, dt, i, j, k, ws);
+            for (long k = n - 2; k >= 1; --k) relax_cell<kUpper>(f, dt, i, j, k);
       }
       obs::ScopedTimer ot(r_add);
       for (long i = 1; i < n - 1; ++i)
@@ -365,7 +336,6 @@ AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
   // rhs_in_region the rhs phase joins the hyperplane sweeps in one dispatch.
   // `nt` is the width actually running (smaller after a degraded retry).
   auto step_body = [&](ParallelRegion& rg, int rank, int nt, bool rhs_in_region) {
-    CellWork<P> ws;
     const Range ir = partition(1, n - 1, rank, nt);
     if (rhs_in_region) {
       {
@@ -380,7 +350,7 @@ AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
       obs::ScopedTimer ot(r_lower);
       for (long l = 3; l <= 3 * hi; ++l) {
         plane_cells(l, ir.lo, ir.hi,
-                    [&](long i, long j, long k) { relax_lower(f, dt, i, j, k, ws); });
+                    [&](long i, long j, long k) { relax_cell<kLower>(f, dt, i, j, k); });
         rg.barrier();
       }
     }
@@ -388,7 +358,7 @@ AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
       obs::ScopedTimer ot(r_upper);
       for (long l = 3 * hi; l >= 3; --l) {
         plane_cells(l, ir.lo, ir.hi,
-                    [&](long i, long j, long k) { relax_upper(f, dt, i, j, k, ws); });
+                    [&](long i, long j, long k) { relax_cell<kUpper>(f, dt, i, j, k); });
         rg.barrier();
       }
     }
@@ -418,18 +388,17 @@ AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
         obs::ScopedTimer ot(r_rhs);
         do_rhs();
       }
-      CellWork<P> ws;
-      {
+        {
         obs::ScopedTimer ot(r_lower);
         for (long l = 3; l <= 3 * hi; ++l)
           plane_cells(l, 1, n - 1,
-                      [&](long i, long j, long k) { relax_lower(f, dt, i, j, k, ws); });
+                      [&](long i, long j, long k) { relax_cell<kLower>(f, dt, i, j, k); });
       }
       {
         obs::ScopedTimer ot(r_upper);
         for (long l = 3 * hi; l >= 3; --l)
           plane_cells(l, 1, n - 1,
-                      [&](long i, long j, long k) { relax_upper(f, dt, i, j, k, ws); });
+                      [&](long i, long j, long k) { relax_cell<kUpper>(f, dt, i, j, k); });
       }
       obs::ScopedTimer ot(r_add);
       for (long i = 1; i < n - 1; ++i)

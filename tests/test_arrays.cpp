@@ -24,6 +24,38 @@ TEST(Array1, CheckedThrowsJavaStyle) {
   EXPECT_THROW(a[static_cast<std::size_t>(-1)], ArrayIndexOutOfBounds);
 }
 
+TEST(FixedArray, ZeroInitializedAndCheckedAtN) {
+  FixedArray<double, 5, Checked> a;
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(a[i], 0.0);
+  EXPECT_NO_THROW(a[4] = 2.5);
+  EXPECT_EQ(a[4], 2.5);
+  EXPECT_THROW(a[5], ArrayIndexOutOfBounds);
+  EXPECT_THROW(a[static_cast<std::size_t>(-1)], ArrayIndexOutOfBounds);
+}
+
+TEST(FixedArray, UncheckedNeverThrows) {
+  // In range, Unchecked and Checked behave identically.
+  FixedArray<double, 25, Unchecked> u;
+  FixedArray<double, 25, Checked> c;
+  for (std::size_t i = 0; i < 25; ++i) {
+    EXPECT_NO_THROW(u[i] = 1.25 * static_cast<double>(i));
+    c[i] = 1.25 * static_cast<double>(i);
+  }
+  for (std::size_t i = 0; i < 25; ++i) EXPECT_EQ(u[i], c[i]);
+}
+
+TEST(FixedArray, CountingCountsOneCheckPerAccess) {
+  Counting::counts().reset();
+  FixedArray<double, 5, Counting> a;
+  a[0] = 1.0;
+  const double x = a[0] + a[4];
+  EXPECT_EQ(x, 1.0);
+  EXPECT_EQ(Counting::counts().accesses, 3u);
+  EXPECT_EQ(Counting::counts().checks, 3u);
+  EXPECT_THROW(a[5], ArrayIndexOutOfBounds);
+  EXPECT_EQ(Counting::counts().checks, 4u);
+}
+
 TEST(Array2, RowMajorLayout) {
   Array2<int, Unchecked> a(3, 4);
   int v = 0;

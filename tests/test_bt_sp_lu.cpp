@@ -7,6 +7,8 @@
 #include <functional>
 
 #include "bt/bt.hpp"
+#include "common/mode.hpp"
+#include "common/reference.hpp"
 #include "common/verify.hpp"
 #include "lu/lu.hpp"
 #include "sp/sp.hpp"
@@ -88,6 +90,32 @@ TEST_P(PseudoApp, SpinBarrierVariantVerifies) {
   c.barrier = BarrierKind::SpinSense;
   const RunResult r = GetParam().fn(c);
   EXPECT_TRUE(r.verified) << r.verify_detail;
+}
+
+// The class S checksums are bitwise equal across modes and thread counts
+// and equal to the frozen reference table, so a kernel change that moves a
+// single rounding fails here even where the 5% checks above still pass.
+// x86-64 only: baseline x86-64 code has no FMA, so -ffp-contract=fast in
+// the native TUs cannot fuse anything; targets with FMA legitimately round
+// the native mode differently.
+TEST_P(PseudoApp, ClassSChecksumsEqualTheReferenceBitwise) {
+#if defined(__x86_64__)
+  const auto ref = reference_checksums(GetParam().name, ProblemClass::S);
+  ASSERT_TRUE(ref.has_value());
+  struct Cell {
+    Mode mode;
+    int threads;
+  };
+  for (const Cell c : {Cell{Mode::Native, 0}, Cell{Mode::Native, 1}, Cell{Mode::Native, 4},
+                       Cell{Mode::Java, 0}, Cell{Mode::Java, 4}}) {
+    const RunResult r = c.threads == 0 && c.mode == Mode::Native
+                            ? serial(GetParam())
+                            : GetParam().fn(cfg_s(c.mode, c.threads));
+    EXPECT_EQ(r.checksums, *ref) << to_string(c.mode) << " threads=" << c.threads;
+  }
+#else
+  GTEST_SKIP() << "bitwise reference pin is defined for x86-64 (no FMA) only";
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, PseudoApp,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "pseudoapp/block_impl.hpp"
 #include "pseudoapp/field_impl.hpp"
@@ -12,6 +13,7 @@
 namespace npb::pseudoapp {
 namespace {
 
+using npb::Checked;
 using npb::Unchecked;
 
 TEST(System, MatInverseRoundTrip) {
@@ -74,71 +76,101 @@ TEST(System, ExactSolutionIsSmoothPolynomial) {
 }
 
 // ---- block primitives -------------------------------------------------
+// Each Block test runs the primitives under both access policies: Unchecked
+// compiles their fixed 5-wide loops fully unrolled, Checked keeps them
+// rolled.  Both shapes must give bitwise-equal outputs.
+
+template <class P>
+std::vector<double> contents(const Array1<double, P>& a) {
+  return {a.data(), a.data() + a.size()};
+}
+
+/// x = A^-1 rhs through lu5_factor + lu5_solve_vec.
+template <class P>
+std::vector<double> lu5_solve(const double (&src)[25], const double (&rhs)[5]) {
+  Array1<double, P> a(25), x(5);
+  for (int i = 0; i < 25; ++i) a[static_cast<std::size_t>(i)] = src[i];
+  for (int i = 0; i < 5; ++i) x[static_cast<std::size_t>(i)] = rhs[i];
+  lu5_factor<P>(a, 0);
+  lu5_solve_vec<P>(a, 0, x, 0);
+  return contents(x);
+}
 
 TEST(Block, Lu5SolveInvertsDenseSystem) {
-  Array1<double, Unchecked> a(25), x(5);
   // A well-conditioned, diagonally dominant test block.
   const double src[25] = {5, 1, 0.5, 0, 0.2, 1, 6, 1, 0.3, 0, 0.5, 1,  7,
                           1, 0, 0,   1, 1,   8, 1, 0.2, 0, 0.3, 1,  9};
   const double rhs[5] = {1, -2, 3, -4, 5};
-  for (int i = 0; i < 25; ++i) a[static_cast<std::size_t>(i)] = src[i];
-  for (int i = 0; i < 5; ++i) x[static_cast<std::size_t>(i)] = rhs[i];
-  lu5_factor<Unchecked>(a, 0);
-  lu5_solve_vec<Unchecked>(a, 0, x, 0);
+  const std::vector<double> x = lu5_solve<Unchecked>(src, rhs);
+  EXPECT_EQ(x, lu5_solve<Checked>(src, rhs));
   // Check A*x == rhs with the original matrix.
   for (int i = 0; i < 5; ++i) {
     double s = 0.0;
-    for (int j = 0; j < 5; ++j)
-      s += src[i * 5 + j] * x[static_cast<std::size_t>(j)];
+    for (int j = 0; j < 5; ++j) s += src[i * 5 + j] * x[static_cast<std::size_t>(j)];
     EXPECT_NEAR(s, rhs[i], 1e-10);
   }
 }
 
-TEST(Block, Lu5SolveBlockInvertsAllColumns) {
-  Array1<double, Unchecked> a(25), x(25);
-  const double src[25] = {4, 1, 0, 0, 0, 1, 5, 1, 0, 0, 0, 1, 6,
-                          1, 0, 0, 0, 1, 7, 1, 0, 0, 0, 1, 8};
+/// X = A^-1 through lu5_factor + lu5_solve_block on the identity.
+template <class P>
+std::vector<double> lu5_inverse(const double (&src)[25]) {
+  Array1<double, P> a(25), x(25);
   for (int i = 0; i < 25; ++i) {
     a[static_cast<std::size_t>(i)] = src[i];
     x[static_cast<std::size_t>(i)] = (i % 6 == 0) ? 1.0 : 0.0;  // identity
   }
-  lu5_factor<Unchecked>(a, 0);
-  lu5_solve_block<Unchecked>(a, 0, x, 0);  // x = A^-1
+  lu5_factor<P>(a, 0);
+  lu5_solve_block<P>(a, 0, x, 0);
+  return contents(x);
+}
+
+TEST(Block, Lu5SolveBlockInvertsAllColumns) {
+  const double src[25] = {4, 1, 0, 0, 0, 1, 5, 1, 0, 0, 0, 1, 6,
+                          1, 0, 0, 0, 1, 7, 1, 0, 0, 0, 1, 8};
+  const std::vector<double> x = lu5_inverse<Unchecked>(src);
+  EXPECT_EQ(x, lu5_inverse<Checked>(src));
   // A * A^-1 == I.
   for (int i = 0; i < 5; ++i)
     for (int j = 0; j < 5; ++j) {
       double s = 0.0;
-      for (int k = 0; k < 5; ++k)
-        s += src[i * 5 + k] * x[static_cast<std::size_t>(k * 5 + j)];
+      for (int k = 0; k < 5; ++k) s += src[i * 5 + k] * x[static_cast<std::size_t>(k * 5 + j)];
       EXPECT_NEAR(s, i == j ? 1.0 : 0.0, 1e-10);
     }
 }
 
-TEST(Block, MvSubAndMmSubMatchDenseAlgebra) {
-  Array1<double, Unchecked> a(25), b(25), c(25), x(5), y(5);
+/// y = 10 - A x and C = 1 - A B, each block at a non-zero offset inside one
+/// shared workspace (A at 0, B at 25, C at 50, x at 75, y at 80).
+template <class P>
+std::vector<double> mv_mm_sub() {
+  Array1<double, P> w(85);
   for (int i = 0; i < 25; ++i) {
-    a[static_cast<std::size_t>(i)] = 0.1 * i - 0.7;
-    b[static_cast<std::size_t>(i)] = 0.05 * i + 0.2;
-    c[static_cast<std::size_t>(i)] = 1.0;
+    w[static_cast<std::size_t>(i)] = 0.1 * i - 0.7;
+    w[static_cast<std::size_t>(25 + i)] = 0.05 * i + 0.2;
+    w[static_cast<std::size_t>(50 + i)] = 1.0;
   }
   for (int i = 0; i < 5; ++i) {
-    x[static_cast<std::size_t>(i)] = i + 1.0;
-    y[static_cast<std::size_t>(i)] = 10.0;
+    w[static_cast<std::size_t>(75 + i)] = i + 1.0;
+    w[static_cast<std::size_t>(80 + i)] = 10.0;
   }
-  mv5_sub<Unchecked>(a, 0, x, 0, y, 0);
+  mv5_sub<P>(w, 0, w, 75, w, 80);
+  mm5_sub<P>(w, 0, w, 25, w, 50);
+  return contents(w);
+}
+
+TEST(Block, MvSubAndMmSubMatchDenseAlgebra) {
+  const std::vector<double> w = mv_mm_sub<Unchecked>();
+  EXPECT_EQ(w, mv_mm_sub<Checked>());
+  const auto a = [&](int e) { return w[static_cast<std::size_t>(e)]; };
   for (int i = 0; i < 5; ++i) {
     double s = 0.0;
-    for (int j = 0; j < 5; ++j)
-      s += a[static_cast<std::size_t>(i * 5 + j)] * (j + 1.0);
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)], 10.0 - s, 1e-12);
+    for (int j = 0; j < 5; ++j) s += a(i * 5 + j) * (j + 1.0);
+    EXPECT_NEAR(a(80 + i), 10.0 - s, 1e-12);
   }
-  mm5_sub<Unchecked>(a, 0, b, 0, c, 0);
   for (int i = 0; i < 5; ++i)
     for (int j = 0; j < 5; ++j) {
       double s = 0.0;
-      for (int k = 0; k < 5; ++k)
-        s += a[static_cast<std::size_t>(i * 5 + k)] * b[static_cast<std::size_t>(k * 5 + j)];
-      EXPECT_NEAR(c[static_cast<std::size_t>(i * 5 + j)], 1.0 - s, 1e-12);
+      for (int k = 0; k < 5; ++k) s += a(i * 5 + k) * a(25 + k * 5 + j);
+      EXPECT_NEAR(a(50 + i * 5 + j), 1.0 - s, 1e-12);
     }
 }
 
