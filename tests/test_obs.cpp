@@ -15,6 +15,7 @@
 #include <string>
 
 #include "common/wtime.hpp"
+#include "npb/registry.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "par/team.hpp"
@@ -439,6 +440,60 @@ TEST(ObsLoopIters, JsonCarriesLoopFields) {
   EXPECT_NE(j.find("\"loop_iters_total\":40"), std::string::npos);
   EXPECT_NE(j.find("\"loop_rank_iters\""), std::string::npos);
   EXPECT_NE(j.find("\"loop_imbalance\":1.5"), std::string::npos);
+}
+
+// ---- execution-shape dispatch counts ---------------------------------------
+
+// Team dispatches and per-rank barrier waits of one class-S run of every
+// suite benchmark, pinned exactly for the three execution shapes: serial
+// (no team, so none of either), and two threads forked (--fused=off: one
+// fork/join per parallel loop) and fused (one SPMD region per time step).
+// These are the counts behind the bench_ablation_sync fusion table; a
+// refactor of how a driver's step is written must leave them unchanged.
+TEST(ObsDispatches, EachExecutionShapeIssuesItsPinnedCounts) {
+  struct Row {
+    const char* name;
+    double forked_dispatches;
+    double fused_dispatches;
+    std::uint64_t forked_barriers;
+    std::uint64_t fused_barriers;
+  };
+  const Row rows[] = {
+      // name  forked fused  forked fused   (dispatches, barrier waits)
+      {"BT", 302, 62, 0, 480},
+      {"SP", 1102, 102, 0, 2000},
+      {"LU", 102, 52, 200, 300},
+      {"FT", 31, 13, 0, 60},
+      {"IS", 31, 11, 0, 60},
+      {"CG", 1980, 15, 0, 4800},
+      {"MG", 73, 5, 0, 320},
+      {"EP", 1, 1, 0, 0},
+  };
+  ASSERT_EQ(std::size(rows), suite().size());
+  RunConfig cfg;
+  cfg.cls = ProblemClass::S;
+  cfg.mode = Mode::Native;
+  for (const Row& row : rows) {
+    const RunFn fn = find_benchmark(row.name);
+    ASSERT_NE(fn, nullptr) << row.name;
+    cfg.threads = 0;
+    const RunResult serial = run_instrumented(fn, cfg);
+    EXPECT_TRUE(serial.verified) << row.name;
+    EXPECT_EQ(serial.obs.dispatches_total, 0.0) << row.name;
+    EXPECT_EQ(serial.obs.barrier_wait_count, 0u) << row.name;
+    cfg.threads = 2;
+    cfg.fused = false;
+    const RunResult forked = run_instrumented(fn, cfg);
+    EXPECT_TRUE(forked.verified) << row.name;
+    EXPECT_EQ(forked.obs.dispatches_total, row.forked_dispatches) << row.name;
+    EXPECT_EQ(forked.obs.barrier_wait_count, row.forked_barriers) << row.name;
+    cfg.fused = true;
+    const RunResult fused = run_instrumented(fn, cfg);
+    EXPECT_TRUE(fused.verified) << row.name;
+    EXPECT_EQ(fused.obs.dispatches_total, row.fused_dispatches) << row.name;
+    EXPECT_EQ(fused.obs.barrier_wait_count, row.fused_barriers) << row.name;
+  }
+  obs::ObsRegistry::instance().reset();
 }
 
 }  // namespace
