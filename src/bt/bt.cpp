@@ -1,8 +1,6 @@
 #include "bt/bt.hpp"
 
 #include "bt/bt_impl.hpp"
-#include "fault/fault.hpp"
-#include "mem/mem.hpp"
 
 namespace npb {
 
@@ -22,16 +20,10 @@ pseudoapp::AppParams bt_params(ProblemClass cls) noexcept {
 RunResult run_bt(const RunConfig& cfg) {
   using namespace bt_detail;
   const AppParams p = bt_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("BT", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
-  const AppOutput o = cfg.mode == Mode::Java
-                          ? bt_run<Checked>(p, cfg.threads, topts, cfg.team)
-                          : cfg.mode == Mode::Vec
-                                ? bt_run<Unchecked, true>(p, cfg.threads, topts, cfg.team)
-                                : bt_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+  const AppOutput o = run_kernel("BT", cfg, [&](auto m, const par::Launch& run) {
+    using M = decltype(m);
+    return bt_run<typename M::Policy, M::vec>(p, run);
+  });
 
   // Per point per iteration: RHS stencil (~500 flops) plus three block-
   // tridiagonal line solves (~3 * 600 flops for the 5x5 block algebra).

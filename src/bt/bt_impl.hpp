@@ -3,14 +3,11 @@
 // Kernel template for BT; explicitly instantiated in bt_native.cpp and
 // bt_java.cpp (see ep_impl.hpp for the pattern).
 
-#include <optional>
-
 #include "common/wtime.hpp"
 #include "fault/retry.hpp"
 #include "mem/mem.hpp"
 #include "obs/obs.hpp"
-#include "par/parallel_for.hpp"
-#include "par/region.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 #include "pseudoapp/app.hpp"
 #include "pseudoapp/block_impl.hpp"
@@ -173,28 +170,13 @@ void solve_line(const System& sys, const Mat5& Ad, double h, double dt, long n,
       rset(q + 1, m, ws.r[static_cast<std::size_t>(q) * 5 + static_cast<std::size_t>(m)]);
 }
 
-/// Runs `body(lo, hi)` over [1, n-1) serially or partitioned over the team.
-template <class F>
-void over_range(WorkerTeam* team, long n, const F& body) {
-  if (team == nullptr) {
-    body(1, n - 1);
-  } else {
-    team->run([&](int rank) {
-      const Range r = partition(1, n - 1, rank, team->size());
-      body(r.lo, r.hi);
-    });
-  }
-}
-
 template <class P, bool V = false>
-AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+AppOutput bt_run(const AppParams& prm, const par::Launch& run) {
   // Team before the fields: under FirstTouch each rank commits the
   // k-plane slabs it will sweep, instead of every page faulting in on
   // the master during init_fields.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  TeamRef team_ref(run.threads, run.topts, run.pooled);
+  WorkerTeam* team = team_ref.get();
   // Loops here partition statically whatever the team's default schedule.
   const mem::ScopedTeamPlacement placement(team, Schedule{});
 
@@ -203,8 +185,13 @@ AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
   const long n = prm.n;
   const double dt = prm.dt;
 
+  // Every phase sweeps the interior k-planes [1, n-1) in static slabs.
+  auto slabs = [n](auto& ex, const auto& body) {
+    ex.ranges(Schedule{}, 1, n - 1, body);
+  };
+  auto rhs_planes = [&](int, long lo, long hi) { compute_rhs_planes(f, lo, hi); };
   auto do_rhs = [&] {
-    over_range(team, n, [&](long lo, long hi) { compute_rhs_planes(f, lo, hi); });
+    par::run(team, false, [&](auto& ex) { slabs(ex, rhs_planes); });
   };
 
   // NPB-style named section timers (cf. timer_start/timer_stop in the
@@ -220,9 +207,7 @@ AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
   out.rhs_initial = rhs_norms(f);
   out.err_initial = error_norms(f);
 
-  // Phase bodies over a slab [lo, hi), shared verbatim by the fused and
-  // forked drivers below so both partition identically (bit-identical
-  // results either way).
+  // Phase bodies over a slab [lo, hi).
   // x sweep: lines along i, one per (j, k); partition j.
   auto x_sweep = [&](long lo, long hi, LineWork<P>& ws) {
     for (long j = lo; j < hi; ++j)
@@ -299,113 +284,29 @@ AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
   // into the next one is u (phi, forcing and ue are init-time constants and
   // rhs is rebuilt from u each step), so the checkpoint is just u.
   fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(f.u.data(), f.u.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
+  ckpt.add(f.u.data(), f.u.size() * sizeof(double));
+  fault::Steps steps(team, run.fused, ckpt);
 
   const double t0 = wtime();
   for (int it = 0; it < prm.iterations; ++it) {
-    if (team == nullptr) {
-      // Serial: same phase sequence, no dispatches.
-      {
-        obs::ScopedTimer ot(r_rhs);
-        do_rhs();
-      }
-      LineWork<P> ws(n);
-      {
-        obs::ScopedTimer ot(r_xsolve);
-        x_sweep(1, n - 1, ws);
-      }
-      {
-        obs::ScopedTimer ot(r_ysolve);
-        y_sweep(1, n - 1, ws);
-      }
-      {
-        obs::ScopedTimer ot(r_zsolve);
-        z_sweep(1, n - 1, ws);
-      }
-      {
-        obs::ScopedTimer ot(r_add);
-        add_phase(1, n - 1);
-      }
-      continue;
-    }
-    steps->step(it, [&](WorkerTeam& tm, int nt) {
-      if (topts.fused) {
-        // Fused: one team dispatch per time step.  All five ADI phases run
-        // resident inside one SPMD region, separated by in-region barriers;
-        // the line workspace is allocated once per rank per step instead of
-        // once per phase dispatch.
-        spmd(tm, [&](ParallelRegion& rg, int rank) {
-          const Range r = partition(1, n - 1, rank, nt);
-          LineWork<P> ws(n);
-          {
-            obs::ScopedTimer ot(r_rhs);
-            compute_rhs_planes(f, r.lo, r.hi);
-          }
-          rg.barrier();
-          {
-            obs::ScopedTimer ot(r_xsolve);
-            x_sweep(r.lo, r.hi, ws);
-          }
-          rg.barrier();
-          {
-            obs::ScopedTimer ot(r_ysolve);
-            y_sweep(r.lo, r.hi, ws);
-          }
-          rg.barrier();
-          {
-            obs::ScopedTimer ot(r_zsolve);
-            z_sweep(r.lo, r.hi, ws);
-          }
-          rg.barrier();
-          {
-            obs::ScopedTimer ot(r_add);
-            add_phase(r.lo, r.hi);
-          }
-        });
-      } else {
-        // Forked: one fork/join dispatch per phase (the paper's cost model).
-        // Partitions come from the width actually running (`nt`), so a
-        // degraded retry repartitions instead of reading stale slabs.
-        auto over = [&](const auto& body) {
-          tm.run([&](int rank) {
-            const Range r = partition(1, n - 1, rank, nt);
-            body(r.lo, r.hi);
-          });
-        };
-        {
-          obs::ScopedTimer ot(r_rhs);
-          over([&](long lo, long hi) { compute_rhs_planes(f, lo, hi); });
-        }
-        {
-          obs::ScopedTimer ot(r_xsolve);
-          over([&](long lo, long hi) {
-            LineWork<P> ws(n);
-            x_sweep(lo, hi, ws);
-          });
-        }
-        {
-          obs::ScopedTimer ot(r_ysolve);
-          over([&](long lo, long hi) {
-            LineWork<P> ws(n);
-            y_sweep(lo, hi, ws);
-          });
-        }
-        {
-          obs::ScopedTimer ot(r_zsolve);
-          over([&](long lo, long hi) {
-            LineWork<P> ws(n);
-            z_sweep(lo, hi, ws);
-          });
-        }
-        {
-          obs::ScopedTimer ot(r_add);
-          over(add_phase);
-        }
-      }
+    // Five phases separated by sync(): one dispatch each when forked, one
+    // region with four barriers when fused.  The line workspace exists once
+    // per rank per step.
+    steps.step(it, [&](auto& ex) {
+      auto ws = ex.workspace([n] { return LineWork<P>(n); });
+      auto phase = [&](obs::RegionId id, const auto& body) {
+        obs::ScopedTimer ot(id);
+        slabs(ex, body);
+      };
+      phase(r_rhs, rhs_planes);
+      ex.sync();
+      phase(r_xsolve, [&](int rank, long lo, long hi) { x_sweep(lo, hi, ws[rank]); });
+      ex.sync();
+      phase(r_ysolve, [&](int rank, long lo, long hi) { y_sweep(lo, hi, ws[rank]); });
+      ex.sync();
+      phase(r_zsolve, [&](int rank, long lo, long hi) { z_sweep(lo, hi, ws[rank]); });
+      ex.sync();
+      phase(r_add, [&](int, long lo, long hi) { add_phase(lo, hi); });
     });
   }
   out.seconds = wtime() - t0;
@@ -416,8 +317,8 @@ AppOutput bt_run(const AppParams& prm, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template AppOutput bt_run<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput bt_run<Checked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput bt_run<Unchecked, true>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
+extern template AppOutput bt_run<Unchecked>(const AppParams&, const par::Launch&);
+extern template AppOutput bt_run<Checked>(const AppParams&, const par::Launch&);
+extern template AppOutput bt_run<Unchecked, true>(const AppParams&, const par::Launch&);
 
 }  // namespace npb::bt_detail

@@ -6,64 +6,29 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "array/array.hpp"
 #include "array/mdarray.hpp"
 #include "cfdops/cfdops.hpp"
 #include "common/wtime.hpp"
 #include "mem/mem.hpp"
-#include "par/parallel_for.hpp"
-#include "par/region.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 #include "simd/simd.hpp"
 
 namespace npb::cfdops_detail {
-
-/// Runs body(lo, hi) over [lo0, hi0) serially or partitioned over the team.
-template <class F>
-void over(WorkerTeam* team, long lo0, long hi0, const F& body) {
-  if (team == nullptr) {
-    body(lo0, hi0);
-  } else {
-    team->run([&](int rank) {
-      const Range r = partition(lo0, hi0, rank, team->size());
-      body(r.lo, r.hi);
-    });
-  }
-}
-
-/// Runs body(lo, hi) over [lo0, hi0) `reps` times: serially, as one
-/// fork/join dispatch per repetition (fused=false, the paper's per-loop
-/// cost model), or as a single SPMD region whose ranks stay resident across
-/// repetitions separated by barriers (fused=true).  The static partition is
-/// identical in all three shapes, so checksums match bit-for-bit.
-template <class F>
-void over_reps(WorkerTeam* team, bool fused, int reps, long lo0, long hi0,
-               const F& body) {
-  if (team == nullptr) {
-    for (int rep = 0; rep < reps; ++rep) body(lo0, hi0);
-    return;
-  }
-  if (fused) {
-    spmd(*team, [&](ParallelRegion& rg, int rank) {
-      const Range r = partition(lo0, hi0, rank, rg.size());
-      for (int rep = 0; rep < reps; ++rep) {
-        body(r.lo, r.hi);
-        rg.barrier();
-      }
-    });
-    return;
-  }
-  for (int rep = 0; rep < reps; ++rep) over(team, lo0, hi0, body);
-}
 
 /// All five kernels over one (policy, array-family, vectorization)
 /// combination.  A3/A4/A5 are Array3/4/5 for the linearized translation and
 /// MdArray3/4/5 for the dimension-preserving one.  V=true selects the
 /// hand-vectorized inner loops (--mode=vec): lanes run along the contiguous
 /// trailing dimension, which only exists for the linearized family, so vec is
-/// only ever instantiated over (Unchecked, Array3/4/5).
+/// only ever instantiated over (Unchecked, Array3/4/5).  Each timed loop runs
+/// under the config's execution shape (par/exec.hpp): serially, as one
+/// fork/join dispatch per repetition (fused=false, the paper's per-loop cost
+/// model), or as one SPMD region whose ranks stay resident across the
+/// repetitions (fused=true).  The static partition is the same in all three,
+/// so checksums match bit-for-bit.
 template <class P, template <class, class> class A3, template <class, class> class A4,
           template <class, class> class A5, bool V = false>
 struct Kernels {
@@ -100,29 +65,34 @@ struct Kernels {
     fill3(in, cfg.n1, cfg.n2, cfg.n3, 1.0e-3);
     P::reset_counts();
     const double t0 = wtime();
-    over_reps(team, cfg.fused, cfg.reps, 0, cfg.n1, [&](long lo, long hi) {
-      for (long i = lo; i < hi; ++i)
-        for (long j = 0; j < cfg.n2; ++j) {
-          const auto I = static_cast<std::size_t>(i);
-          const auto J = static_cast<std::size_t>(j);
-          if constexpr (V) {
-            // Lane copy along the contiguous k row; bit-identical to the
-            // scalar assignment (Exact tier).
-            const double* ip = &in(I, J, 0);
-            double* op = &out(I, J, 0);
-            long k = 0;
-            for (; k + simd::Dvec::width <= cfg.n3; k += simd::Dvec::width)
-              simd::store(op + k, simd::load(ip + k));
-            if (k < cfg.n3)
-              simd::store_partial(op + k, static_cast<int>(cfg.n3 - k),
-                                  simd::load_partial(ip + k,
-                                                     static_cast<int>(cfg.n3 - k)));
-          } else {
-            for (long k = 0; k < cfg.n3; ++k)
-              out(I, J, static_cast<std::size_t>(k)) =
-                  in(I, J, static_cast<std::size_t>(k));
-          }
-        }
+    par::run(team, cfg.fused, [&](auto& ex) {
+      for (int rep = 0; rep < cfg.reps; ++rep) {
+        ex.ranges(Schedule{}, 0, cfg.n1, [&](int, long lo, long hi) {
+          for (long i = lo; i < hi; ++i)
+            for (long j = 0; j < cfg.n2; ++j) {
+              const auto I = static_cast<std::size_t>(i);
+              const auto J = static_cast<std::size_t>(j);
+              if constexpr (V) {
+                // Lane copy along the contiguous k row; bit-identical to the
+                // scalar assignment (Exact tier).
+                const double* ip = &in(I, J, 0);
+                double* op = &out(I, J, 0);
+                long k = 0;
+                for (; k + simd::Dvec::width <= cfg.n3; k += simd::Dvec::width)
+                  simd::store(op + k, simd::load(ip + k));
+                if (k < cfg.n3)
+                  simd::store_partial(op + k, static_cast<int>(cfg.n3 - k),
+                                      simd::load_partial(ip + k,
+                                                         static_cast<int>(cfg.n3 - k)));
+              } else {
+                for (long k = 0; k < cfg.n3; ++k)
+                  out(I, J, static_cast<std::size_t>(k)) =
+                      in(I, J, static_cast<std::size_t>(k));
+              }
+            }
+        });
+        ex.sync();
+      }
     });
     const double secs = wtime() - t0;
     P::take_snapshot();
@@ -141,84 +111,89 @@ struct Kernels {
     const long r = radius;
     P::reset_counts();
     const double t0 = wtime();
-    over_reps(team, cfg.fused, cfg.reps, r, cfg.n1 - r, [&](long lo, long hi) {
-      for (long i = lo; i < hi; ++i)
-        for (long j = r; j < cfg.n2 - r; ++j) {
-          const auto I = static_cast<std::size_t>(i);
-          const auto J = static_cast<std::size_t>(j);
-          if constexpr (V) {
-            // Lanes run along the contiguous k row; the star neighbours are
-            // unit offsets within the row (k +/- d) and fixed row offsets
-            // across it (i/j +/- d).  The neighbour sum replicates the scalar
-            // left-to-right association per element, so any drift against
-            // scalar comes only from FMA contraction (tight tier).
-            const double* pc = &in(I, J, 0);
-            const double* pim = &in(I - 1, J, 0);
-            const double* pip = &in(I + 1, J, 0);
-            const double* pjm = &in(I, J - 1, 0);
-            const double* pjp = &in(I, J + 1, 0);
-            // The radius-2 rows only exist (i, j >= 2) when radius == 2.
-            const double* pim2 = nullptr;
-            const double* pip2 = nullptr;
-            const double* pjm2 = nullptr;
-            const double* pjp2 = nullptr;
-            if (radius == 2) {
-              pim2 = &in(I - 2, J, 0);
-              pip2 = &in(I + 2, J, 0);
-              pjm2 = &in(I, J - 2, 0);
-              pjp2 = &in(I, J + 2, 0);
-            }
-            double* po = &out(I, J, 0);
-            const simd::Dvec vc0 = simd::Dvec::broadcast(c0);
-            const simd::Dvec vc1 = simd::Dvec::broadcast(c1);
-            const simd::Dvec vc2 = simd::Dvec::broadcast(c2);
-            constexpr long W = simd::Dvec::width;
-            long k = r;
-            for (; k + W <= cfg.n3 - r; k += W) {
-              simd::Dvec nb = simd::load(pim + k) + simd::load(pip + k);
-              nb += simd::load(pjm + k);
-              nb += simd::load(pjp + k);
-              nb += simd::load(pc + k - 1);
-              nb += simd::load(pc + k + 1);
-              simd::Dvec v = vc0 * simd::load(pc + k) + vc1 * nb;
-              if (radius == 2) {
-                simd::Dvec nb2 = simd::load(pim2 + k) + simd::load(pip2 + k);
-                nb2 += simd::load(pjm2 + k);
-                nb2 += simd::load(pjp2 + k);
-                nb2 += simd::load(pc + k - 2);
-                nb2 += simd::load(pc + k + 2);
-                v += vc2 * nb2;
+    par::run(team, cfg.fused, [&](auto& ex) {
+      for (int rep = 0; rep < cfg.reps; ++rep) {
+        ex.ranges(Schedule{}, r, cfg.n1 - r, [&](int, long lo, long hi) {
+          for (long i = lo; i < hi; ++i)
+            for (long j = r; j < cfg.n2 - r; ++j) {
+              const auto I = static_cast<std::size_t>(i);
+              const auto J = static_cast<std::size_t>(j);
+              if constexpr (V) {
+                // Lanes run along the contiguous k row; the star neighbours are
+                // unit offsets within the row (k +/- d) and fixed row offsets
+                // across it (i/j +/- d).  The neighbour sum replicates the scalar
+                // left-to-right association per element, so any drift against
+                // scalar comes only from FMA contraction (tight tier).
+                const double* pc = &in(I, J, 0);
+                const double* pim = &in(I - 1, J, 0);
+                const double* pip = &in(I + 1, J, 0);
+                const double* pjm = &in(I, J - 1, 0);
+                const double* pjp = &in(I, J + 1, 0);
+                // The radius-2 rows only exist (i, j >= 2) when radius == 2.
+                const double* pim2 = nullptr;
+                const double* pip2 = nullptr;
+                const double* pjm2 = nullptr;
+                const double* pjp2 = nullptr;
+                if (radius == 2) {
+                  pim2 = &in(I - 2, J, 0);
+                  pip2 = &in(I + 2, J, 0);
+                  pjm2 = &in(I, J - 2, 0);
+                  pjp2 = &in(I, J + 2, 0);
+                }
+                double* po = &out(I, J, 0);
+                const simd::Dvec vc0 = simd::Dvec::broadcast(c0);
+                const simd::Dvec vc1 = simd::Dvec::broadcast(c1);
+                const simd::Dvec vc2 = simd::Dvec::broadcast(c2);
+                constexpr long W = simd::Dvec::width;
+                long k = r;
+                for (; k + W <= cfg.n3 - r; k += W) {
+                  simd::Dvec nb = simd::load(pim + k) + simd::load(pip + k);
+                  nb += simd::load(pjm + k);
+                  nb += simd::load(pjp + k);
+                  nb += simd::load(pc + k - 1);
+                  nb += simd::load(pc + k + 1);
+                  simd::Dvec v = vc0 * simd::load(pc + k) + vc1 * nb;
+                  if (radius == 2) {
+                    simd::Dvec nb2 = simd::load(pim2 + k) + simd::load(pip2 + k);
+                    nb2 += simd::load(pjm2 + k);
+                    nb2 += simd::load(pjp2 + k);
+                    nb2 += simd::load(pc + k - 2);
+                    nb2 += simd::load(pc + k + 2);
+                    v += vc2 * nb2;
+                  }
+                  simd::store(po + k, v);
+                }
+                for (; k < cfg.n3 - r; ++k) {
+                  const auto K = static_cast<std::size_t>(k);
+                  double v = c0 * in(I, J, K) +
+                             c1 * (in(I - 1, J, K) + in(I + 1, J, K) + in(I, J - 1, K) +
+                                   in(I, J + 1, K) + in(I, J, K - 1) + in(I, J, K + 1));
+                  if (radius == 2)
+                    v += c2 * (in(I - 2, J, K) + in(I + 2, J, K) + in(I, J - 2, K) +
+                               in(I, J + 2, K) + in(I, J, K - 2) + in(I, J, K + 2));
+                  out(I, J, K) = v;
+                }
+                P::flops(static_cast<std::uint64_t>(13 + (radius == 2 ? 7 : 0)) *
+                         static_cast<std::uint64_t>(cfg.n3 - 2 * r));
+              } else {
+                for (long k = r; k < cfg.n3 - r; ++k) {
+                  const auto K = static_cast<std::size_t>(k);
+                  double v = c0 * in(I, J, K) +
+                             c1 * (in(I - 1, J, K) + in(I + 1, J, K) + in(I, J - 1, K) +
+                                   in(I, J + 1, K) + in(I, J, K - 1) + in(I, J, K + 1));
+                  P::flops(13);
+                  if (radius == 2) {
+                    v += c2 * (in(I - 2, J, K) + in(I + 2, J, K) + in(I, J - 2, K) +
+                               in(I, J + 2, K) + in(I, J, K - 2) + in(I, J, K + 2));
+                    P::flops(7);
+                  }
+                  out(I, J, K) = v;
+                }
               }
-              simd::store(po + k, v);
             }
-            for (; k < cfg.n3 - r; ++k) {
-              const auto K = static_cast<std::size_t>(k);
-              double v = c0 * in(I, J, K) +
-                         c1 * (in(I - 1, J, K) + in(I + 1, J, K) + in(I, J - 1, K) +
-                               in(I, J + 1, K) + in(I, J, K - 1) + in(I, J, K + 1));
-              if (radius == 2)
-                v += c2 * (in(I - 2, J, K) + in(I + 2, J, K) + in(I, J - 2, K) +
-                           in(I, J + 2, K) + in(I, J, K - 2) + in(I, J, K + 2));
-              out(I, J, K) = v;
-            }
-            P::flops(static_cast<std::uint64_t>(13 + (radius == 2 ? 7 : 0)) *
-                     static_cast<std::uint64_t>(cfg.n3 - 2 * r));
-          } else {
-            for (long k = r; k < cfg.n3 - r; ++k) {
-              const auto K = static_cast<std::size_t>(k);
-              double v = c0 * in(I, J, K) +
-                         c1 * (in(I - 1, J, K) + in(I + 1, J, K) + in(I, J - 1, K) +
-                               in(I, J + 1, K) + in(I, J, K - 1) + in(I, J, K + 1));
-              P::flops(13);
-              if (radius == 2) {
-                v += c2 * (in(I - 2, J, K) + in(I + 2, J, K) + in(I, J - 2, K) +
-                           in(I, J + 2, K) + in(I, J, K - 2) + in(I, J, K + 2));
-                P::flops(7);
-              }
-              out(I, J, K) = v;
-            }
-          }
-        }
+        });
+        ex.sync();
+      }
     });
     const double secs = wtime() - t0;
     P::take_snapshot();
@@ -247,36 +222,41 @@ struct Kernels {
         }
     P::reset_counts();
     const double t0 = wtime();
-    over_reps(team, cfg.fused, cfg.reps, 0, cfg.n1, [&](long lo, long hi) {
-      for (long i = lo; i < hi; ++i)
-        for (long j = 0; j < cfg.n2; ++j)
-          for (long k = 0; k < cfg.n3; ++k) {
-            const auto I = static_cast<std::size_t>(i);
-            const auto J = static_cast<std::size_t>(j);
-            const auto K = static_cast<std::size_t>(k);
-            if constexpr (V) {
-              // Each 5-term row dot runs as a lane dot over the contiguous
-              // matrix row against the contiguous 5-vector (reassociates;
-              // the vec tolerance tier bounds the checksum drift).
-              const double* mp = &mats(I, J, K, 0, 0);
-              const double* xp = &vin(I, J, K, 0);
-              double* yp = &vout(I, J, K, 0);
-              for (int m = 0; m < 5; ++m)
-                yp[m] = simd::dot(mp + m * 5, xp, 5);
-              P::muladds(25);
-              P::flops(50);
-            } else {
-              for (std::size_t m = 0; m < 5; ++m) {
-                double s = 0.0;
-                for (std::size_t l = 0; l < 5; ++l) {
-                  s += mats(I, J, K, m, l) * vin(I, J, K, l);
-                  P::muladds(1);
+    par::run(team, cfg.fused, [&](auto& ex) {
+      for (int rep = 0; rep < cfg.reps; ++rep) {
+        ex.ranges(Schedule{}, 0, cfg.n1, [&](int, long lo, long hi) {
+          for (long i = lo; i < hi; ++i)
+            for (long j = 0; j < cfg.n2; ++j)
+              for (long k = 0; k < cfg.n3; ++k) {
+                const auto I = static_cast<std::size_t>(i);
+                const auto J = static_cast<std::size_t>(j);
+                const auto K = static_cast<std::size_t>(k);
+                if constexpr (V) {
+                  // Each 5-term row dot runs as a lane dot over the contiguous
+                  // matrix row against the contiguous 5-vector (reassociates;
+                  // the vec tolerance tier bounds the checksum drift).
+                  const double* mp = &mats(I, J, K, 0, 0);
+                  const double* xp = &vin(I, J, K, 0);
+                  double* yp = &vout(I, J, K, 0);
+                  for (int m = 0; m < 5; ++m)
+                    yp[m] = simd::dot(mp + m * 5, xp, 5);
+                  P::muladds(25);
+                  P::flops(50);
+                } else {
+                  for (std::size_t m = 0; m < 5; ++m) {
+                    double s = 0.0;
+                    for (std::size_t l = 0; l < 5; ++l) {
+                      s += mats(I, J, K, m, l) * vin(I, J, K, l);
+                      P::muladds(1);
+                    }
+                    vout(I, J, K, m) = s;
+                    P::flops(10);
+                  }
                 }
-                vout(I, J, K, m) = s;
-                P::flops(10);
               }
-            }
-          }
+        });
+        ex.sync();
+      }
     });
     const double secs = wtime() - t0;
     P::take_snapshot();
@@ -328,31 +308,15 @@ struct Kernels {
     };
     P::reset_counts();
     const double t0 = wtime();
-    if (team == nullptr) {
-      for (int rep = 0; rep < cfg.reps; ++rep) total = body(0, cfg.n1);
-    } else if (cfg.fused) {
-      // One region for all reps; the rank-ordered reduce_partials combine
-      // matches the forked master combine below bit-for-bit.
-      WorkerTeam& t = *team;
-      spmd(t, [&](ParallelRegion& rg, int rank) {
-        const Range r = partition(0, cfg.n1, rank, rg.size());
-        for (int rep = 0; rep < cfg.reps; ++rep) {
-          const double sum = rg.reduce_partials(rank, body(r.lo, r.hi));
-          if (rank == 0) total = sum;
-        }
-      });
-    } else {
-      std::vector<detail::PaddedDouble> partial(
-          static_cast<std::size_t>(team->size()));
+    // Rank-ordered combine of one partial per rank, the same in the forked
+    // and fused shapes (bit-for-bit); serially the one partial is the sum.
+    par::run(team, cfg.fused, [&](auto& ex) {
       for (int rep = 0; rep < cfg.reps; ++rep) {
-        team->run([&](int rank) {
-          const Range r = partition(0, cfg.n1, rank, team->size());
-          partial[static_cast<std::size_t>(rank)].v = body(r.lo, r.hi);
-        });
-        total = 0.0;
-        for (const auto& p : partial) total += p.v;
+        const double sum = ex.template reduce<double>(
+            Schedule{}, 0, cfg.n1, [&](int, long lo, long hi) { return body(lo, hi); });
+        ex.single([&] { total = sum; });
       }
-    }
+    });
     const double secs = wtime() - t0;
     P::take_snapshot();
     return {secs, total};
@@ -363,11 +327,10 @@ struct Kernels {
     std::optional<WorkerTeam> team_storage;
     if (cfg.threads > 0)
       team_storage.emplace(cfg.threads,
-                           TeamOptions{cfg.barrier, cfg.warmup_spins, Schedule{},
-                                       cfg.fused, 0, cfg.mode});
+                           TeamOptions{cfg.barrier, cfg.warmup_spins});
     WorkerTeam* team = team_storage ? &*team_storage : nullptr;
-    // cfdops kernels partition statically (over()), so first-touch uses the
-    // default static schedule too.
+    // cfdops kernels partition statically, so first-touch uses the default
+    // static schedule too.
     const mem::ScopedTeamPlacement placement(team, Schedule{});
     switch (op) {
       case CfdOp::Assignment: return assignment(cfg, team);

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "cg/cg_impl.hpp"
-#include "fault/fault.hpp"
-#include "mem/mem.hpp"
 #include "common/reference.hpp"
 #include "common/verify.hpp"
 
@@ -24,16 +22,10 @@ CgParams cg_params(ProblemClass cls) noexcept {
 RunResult run_cg(const RunConfig& cfg) {
   using namespace cg_detail;
   const CgParams p = cg_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("CG", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
-  const CgOutput o = cfg.mode == Mode::Java
-                         ? cg_run<Checked>(p, cfg.threads, topts, cfg.team)
-                         : cfg.mode == Mode::Vec
-                               ? cg_run<Unchecked, true>(p, cfg.threads, topts, cfg.team)
-                               : cg_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+  const CgOutput o = run_kernel("CG", cfg, [&](auto m, const par::Launch& run) {
+    using M = decltype(m);
+    return cg_run<typename M::Policy, M::vec>(p, run);
+  });
 
   RunResult r;
   r.name = "CG";

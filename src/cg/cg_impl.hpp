@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "array/array.hpp"
@@ -15,8 +14,7 @@
 #include "fault/retry.hpp"
 #include "mem/mem.hpp"
 #include "obs/obs.hpp"
-#include "par/parallel_for.hpp"
-#include "par/region.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 #include "simd/simd.hpp"
 
@@ -207,143 +205,55 @@ struct CgScalars {
   }
 };
 
-/// 25 CG iterations solving A z = x; leaves ||x - A z|| in sc.rnorm
-/// (written by rank 0).  `rg` is the caller's open SPMD region; serial
-/// callers pass null with rank 0 of 1.  Dot products reduce rank-ordered
-/// over the static block partition (ParallelRegion::reduce_partials), so
-/// the solve is deterministic under every schedule; `sched` steers only the
-/// sparse mat-vec rows — the loop whose per-row work varies with the
-/// nonzero count, the paper's load-imbalance case.  Row writes are disjoint
-/// so any claim order yields the same q bit-for-bit, and the combine order
-/// matches the forked conj_grad_forked path exactly, so the two drivers
-/// produce bit-identical results for a fixed schedule and thread count.
-/// `V` selects the hand-vectorized mat-vec and dot kernels (--mode=vec);
-/// the axpy updates stay elementwise either way, so the only vec-vs-native
-/// divergence is the documented reduction reassociation.
-template <class P, bool V = false>
+/// 25 CG iterations solving A z = x under an execution shape (par/exec.hpp);
+/// leaves ||x - A z|| in sc.rnorm.  Dot products and the axpy updates run
+/// over the static block partition — the dots reduce rank-ordered, so the
+/// solve is deterministic under every schedule — while `sched` steers only
+/// the sparse mat-vec rows, the loop whose per-row work varies with the
+/// nonzero count (the paper's load-imbalance case).  Row writes are
+/// disjoint, so any claim order yields the same q bit-for-bit.  Forked,
+/// each loop and dot is one dispatch; fused, the whole solve stays resident
+/// with barriers only where a rank reads another's rows (after the mat-vec
+/// inputs change) and inside the dots.  `V` selects the hand-vectorized
+/// mat-vec and dot kernels (--mode=vec); the axpy updates stay elementwise
+/// either way, so the only vec-vs-native divergence is the documented
+/// reduction reassociation.
+template <class P, bool V = false, class Ex>
 void conj_grad(const Csr<P>& m, const Array1<double, P>& x, Array1<double, P>& z,
                Array1<double, P>& r, Array1<double, P>& pvec,
-               Array1<double, P>& q, int cg_iters, ParallelRegion* rg, int rank,
-               int nranks, CgScalars& sc, Schedule sched = {}) {
-  const Range blk = partition(0, m.n, rank, nranks);
-  const long lo = blk.lo, hi = blk.hi;
-  auto reduce = [&](double mine) -> double {
-    return rg == nullptr ? mine : rg->reduce_partials(rank, mine);
-  };
-  auto dot = [&](const Array1<double, P>& a, const Array1<double, P>& b, long l,
-                 long h) {
-    if constexpr (V)
-      return dot_rows_vec(a, b, l, h);
-    else
-      return dot_rows<P>(a, b, l, h);
-  };
-  auto spmv_span = [&](const Array1<double, P>& in, Array1<double, P>& out,
-                       long rlo, long rhi) {
-    if constexpr (V)
-      spmv_rows_vec(m, in, out, rlo, rhi);
-    else
-      spmv_rows(m, in, out, rlo, rhi);
-  };
-  auto spmv = [&](const Array1<double, P>& in, Array1<double, P>& out) {
-    if (rg == nullptr) {
-      spmv_span(in, out, lo, hi);
-      return;
-    }
-    rg->ranges(rank, sched, 0, m.n,
-               [&](int, long rlo, long rhi) { spmv_span(in, out, rlo, rhi); });
-  };
-
-  for (long i = lo; i < hi; ++i) {
-    z[static_cast<std::size_t>(i)] = 0.0;
-    r[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
-    pvec[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
-  }
-  if (rg != nullptr) rg->barrier();  // the mat-vec reads every pvec block
-  double rho = reduce(dot(r, r, lo, hi));
-
-  for (int it = 0; it < cg_iters; ++it) {
-    spmv(pvec, q);
-    const double pq = reduce(dot(pvec, q, lo, hi));
-    const double alpha = rho / pq;
-    const double rho0 = rho;
-    for (long i = lo; i < hi; ++i) {
-      z[static_cast<std::size_t>(i)] += alpha * pvec[static_cast<std::size_t>(i)];
-      r[static_cast<std::size_t>(i)] -= alpha * q[static_cast<std::size_t>(i)];
-      P::muladds(2);
-    }
-    P::flops(4 * (hi - lo));
-    rho = reduce(dot(r, r, lo, hi));
-    const double beta = rho / rho0;
-    for (long i = lo; i < hi; ++i) {
-      pvec[static_cast<std::size_t>(i)] =
-          r[static_cast<std::size_t>(i)] + beta * pvec[static_cast<std::size_t>(i)];
-      P::muladds(1);
-    }
-    P::flops(2 * (hi - lo));
-    if (rg != nullptr) rg->barrier();  // publish pvec (and, last round, z)
-  }
-
-  // True residual ||x - A z||.
-  spmv(z, q);
-  double local = 0.0;
-  for (long i = lo; i < hi; ++i) {
-    const double d = x[static_cast<std::size_t>(i)] - q[static_cast<std::size_t>(i)];
-    local += d * d;
-  }
-  const double sumsq = reduce(local);
-  if (rank == 0) sc.rnorm = std::sqrt(sumsq);
-}
-
-/// Fork/join comparator for conj_grad: the same solve as one dispatch per
-/// parallel loop, for --fused=off.  Dot products use Static
-/// parallel_reduce_sum (rank-ordered combine over the same block
-/// partition), the mat-vec uses `sched`, so results are bit-identical to
-/// the fused path.  Under V the dots compute each rank's block partial with
-/// dot_rows_vec and combine rank-ordered — the exact structure of the fused
-/// path's reduce_partials — so fused-vs-forked bit-identity holds in vec
-/// mode too (and the per-rank partial stays a Reduce fault-injection site).
-template <class P, bool V = false>
-void conj_grad_forked(const Csr<P>& m, const Array1<double, P>& x,
-                      Array1<double, P>& z, Array1<double, P>& r,
-                      Array1<double, P>& pvec, Array1<double, P>& q,
-                      int cg_iters, WorkerTeam& team, CgScalars& sc,
-                      Schedule sched) {
+               Array1<double, P>& q, int cg_iters, Ex& ex, CgScalars& sc,
+               Schedule sched = {}) {
   const long n = m.n;
-  auto spmv = [&](const Array1<double, P>& in, Array1<double, P>& out) {
-    parallel_ranges(team, sched, 0, n, [&](int, long rlo, long rhi) {
-      if constexpr (V)
-        spmv_rows_vec(m, in, out, rlo, rhi);
-      else
-        spmv_rows(m, in, out, rlo, rhi);
-    });
+  const Schedule blocks{};
+  auto each = [&](const auto& body) {
+    ex.ranges(blocks, 0, n, [&](int, long lo, long hi) { body(lo, hi); });
   };
   auto dot = [&](const Array1<double, P>& a, const Array1<double, P>& b) {
-    if constexpr (V) {
-      const ReduceScratchGuard guard(team);
-      detail::PaddedDouble* partial = team.reduce_scratch();
-      team.run([&](int rank) {
-        const Range blk = partition(0, n, rank, team.size());
-        partial[rank].v =
-            fault::poison(rank, dot_rows_vec(a, b, blk.lo, blk.hi));
-      });
-      double total = 0.0;
-      for (int t = 0; t < team.size(); ++t) total += partial[t].v;
-      return total;
-    } else {
-      return parallel_reduce_sum(team, Schedule{}, 0, n, [&](long i) {
-        P::muladds(1);
-        return a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(i)];
-      });
-    }
+    return ex.template reduce<double>(blocks, 0, n, [&](int, long lo, long hi) {
+      if constexpr (V)
+        return dot_rows_vec(a, b, lo, hi);
+      else
+        return dot_rows<P>(a, b, lo, hi);
+    });
+  };
+  auto spmv = [&](const Array1<double, P>& in, Array1<double, P>& out) {
+    ex.ranges(sched, 0, n, [&](int, long lo, long hi) {
+      if constexpr (V)
+        spmv_rows_vec(m, in, out, lo, hi);
+      else
+        spmv_rows(m, in, out, lo, hi);
+    });
+    ex.sync();  // the dots read q rows other ranks wrote
   };
 
-  parallel_ranges(team, Schedule{}, 0, n, [&](int, long lo, long hi) {
+  each([&](long lo, long hi) {
     for (long i = lo; i < hi; ++i) {
       z[static_cast<std::size_t>(i)] = 0.0;
       r[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
       pvec[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)];
     }
   });
+  ex.sync();  // the mat-vec reads every pvec block
   double rho = dot(r, r);
 
   for (int it = 0; it < cg_iters; ++it) {
@@ -351,7 +261,7 @@ void conj_grad_forked(const Csr<P>& m, const Array1<double, P>& x,
     const double pq = dot(pvec, q);
     const double alpha = rho / pq;
     const double rho0 = rho;
-    parallel_ranges(team, Schedule{}, 0, n, [&](int, long lo, long hi) {
+    each([&](long lo, long hi) {
       for (long i = lo; i < hi; ++i) {
         z[static_cast<std::size_t>(i)] += alpha * pvec[static_cast<std::size_t>(i)];
         r[static_cast<std::size_t>(i)] -= alpha * q[static_cast<std::size_t>(i)];
@@ -361,7 +271,7 @@ void conj_grad_forked(const Csr<P>& m, const Array1<double, P>& x,
     });
     rho = dot(r, r);
     const double beta = rho / rho0;
-    parallel_ranges(team, Schedule{}, 0, n, [&](int, long lo, long hi) {
+    each([&](long lo, long hi) {
       for (long i = lo; i < hi; ++i) {
         pvec[static_cast<std::size_t>(i)] =
             r[static_cast<std::size_t>(i)] + beta * pvec[static_cast<std::size_t>(i)];
@@ -369,27 +279,32 @@ void conj_grad_forked(const Csr<P>& m, const Array1<double, P>& x,
       }
       P::flops(2 * (hi - lo));
     });
+    ex.sync();  // publish pvec (and, last round, z)
   }
 
+  // True residual ||x - A z||.
   spmv(z, q);
-  const double sumsq = parallel_reduce_sum(team, Schedule{}, 0, n, [&](long i) {
-    const double d = x[static_cast<std::size_t>(i)] - q[static_cast<std::size_t>(i)];
-    return d * d;
-  });
-  sc.rnorm = std::sqrt(sumsq);
+  const double sumsq =
+      ex.template reduce<double>(blocks, 0, n, [&](int, long lo, long hi) {
+        double local = 0.0;
+        for (long i = lo; i < hi; ++i) {
+          const double d =
+              x[static_cast<std::size_t>(i)] - q[static_cast<std::size_t>(i)];
+          local += d * d;
+        }
+        return local;
+      });
+  ex.single([&] { sc.rnorm = std::sqrt(sumsq); });
 }
 
 template <class P, bool V = false>
-CgOutput cg_run(const CgParams& p, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+CgOutput cg_run(const CgParams& p, const par::Launch& run) {
   // Thread creation happens at initialization (untimed), as in the paper —
   // and *before* any allocation, so a FirstTouch placement can fault the
   // matrix and vectors in on the ranks that will traverse them (the
   // co-location the paper's CG warm-up trick was after).
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  const mem::ScopedTeamPlacement placement(
-      team_storage ? team_storage->get() : nullptr, topts.schedule);
+  TeamRef team_ref(run.threads, run.topts, run.pooled);
+  const mem::ScopedTeamPlacement placement(team_ref.get(), run.topts.schedule);
 
   const Csr<P> m = make_matrix<P>(p);
   const long n = m.n;
@@ -422,109 +337,60 @@ CgOutput cg_run(const CgParams& p, int threads, const TeamOptions& topts,
   }
 
   CgScalars sc;
-  const Schedule sched = topts.schedule;
+  const Schedule sched = run.topts.schedule;
 
   const obs::RegionId r_cg = obs::region("CG/conj_grad");
   const obs::RegionId r_norm = obs::region("CG/norm");
 
-  const double t0 = wtime();
+  // One outer iteration is the retry unit: x is the only array that
+  // survives an iteration (z, r, pvec, q are rebuilt from it), so the
+  // checkpoint is a single vector plus the iteration-carried scalars — sc,
+  // zeta and the running zeta_sum.  Those scalars are registered as spans
+  // and their accumulation happens inside the step body, so a retried step
+  // rolls them back (no double-count) and a durable resume restores them
+  // alongside x.
   double zeta = 0.0;
-  if (threads == 0) {
-    for (int outer = 1; outer <= p.niter; ++outer) {
+  fault::Checkpoint ckpt;
+  ckpt.add(x.data(), x.size() * sizeof(double));
+  ckpt.add(&sc, sizeof sc);
+  ckpt.add(&zeta, sizeof zeta);
+  ckpt.add(&out.zeta_sum, sizeof out.zeta_sum);
+  fault::Steps steps(team_ref.get(), run.fused, ckpt);
+  const auto healthy = [&] { return sc.healthy(); };
+
+  const double t0 = wtime();
+  for (int outer = 1; outer <= p.niter; ++outer) {
+    // Forked, every loop and dot of the outer iteration is its own dispatch
+    // (the per-loop fork/join cost the paper's overhead decomposition
+    // charges against Java's model); fused, the solve and the norm phase
+    // are one region.
+    steps.step(outer, [&](auto& ex) {
       {
         obs::ScopedTimer ot(r_cg);
-        conj_grad<P, V>(m, x, z, r, pvec, q, p.cg_iters, nullptr, 0, 1, sc,
-                        sched);
+        conj_grad<P, V>(m, x, z, r, pvec, q, p.cg_iters, ex, sc, sched);
       }
       obs::ScopedTimer ot(r_norm);
-      double xz = 0.0, zz = 0.0;
-      for (long i = 0; i < n; ++i) {
-        xz += x[static_cast<std::size_t>(i)] * z[static_cast<std::size_t>(i)];
-        zz += z[static_cast<std::size_t>(i)] * z[static_cast<std::size_t>(i)];
-      }
-      zeta = p.shift + 1.0 / xz;
-      out.zeta_sum += zeta;
+      const Schedule blocks{};
+      const double xz =
+          ex.template reduce<double>(blocks, 0, n, [&](int, long lo, long hi) {
+            return dot_rows<P>(x, z, lo, hi);
+          });
+      const double zz =
+          ex.template reduce<double>(blocks, 0, n, [&](int, long lo, long hi) {
+            return dot_rows<P>(z, z, lo, hi);
+          });
       const double znorm = 1.0 / std::sqrt(zz);
-      for (long i = 0; i < n; ++i)
-        x[static_cast<std::size_t>(i)] = znorm * z[static_cast<std::size_t>(i)];
-    }
-  } else {
-    // One outer iteration is the retry unit: x is the only array that
-    // survives an iteration (z, r, pvec, q are rebuilt from it), so the
-    // checkpoint is a single vector plus the iteration-carried scalars —
-    // sc, zeta and the running zeta_sum.  Those scalars are registered as
-    // spans and their accumulation happens inside the step body, so a
-    // retried step rolls them back (no double-count) and a durable resume
-    // restores them alongside x.
-    fault::Checkpoint ckpt;
-    ckpt.add(x.data(), x.size() * sizeof(double));
-    ckpt.add(&sc, sizeof sc);
-    ckpt.add(&zeta, sizeof zeta);
-    ckpt.add(&out.zeta_sum, sizeof out.zeta_sum);
-    fault::StepRunner steps(**team_storage, topts, ckpt);
-    const auto healthy = [&] { return sc.healthy(); };
-    for (int outer = 1; outer <= p.niter; ++outer) {
-      if (topts.fused) {
-        // Fused: the whole outer iteration — solve plus norm phase — is one
-        // SPMD region, so the team stays resident across all of CG's dots,
-        // axpys and mat-vecs (this is the shape the paper's hand-threaded CG
-        // already had; it now goes through the shared ParallelRegion API).
-        steps.step(outer, [&](WorkerTeam& team, int nt) {
-          spmd(team, [&](ParallelRegion& rg, int rank) {
-            {
-              obs::ScopedTimer ot(r_cg);
-              conj_grad<P, V>(m, x, z, r, pvec, q, p.cg_iters, &rg, rank, nt,
-                              sc, sched);
-            }
-            obs::ScopedTimer ot(r_norm);
-            const Range blk = partition(0, n, rank, nt);
-            double xz = 0.0, zz = 0.0;
-            for (long i = blk.lo; i < blk.hi; ++i) {
-              xz += x[static_cast<std::size_t>(i)] * z[static_cast<std::size_t>(i)];
-              zz += z[static_cast<std::size_t>(i)] * z[static_cast<std::size_t>(i)];
-            }
-            const double xz_all = rg.reduce_partials(rank, xz);
-            const double zz_all = rg.reduce_partials(rank, zz);
-            const double znorm = 1.0 / std::sqrt(zz_all);
-            for (long i = blk.lo; i < blk.hi; ++i)
-              x[static_cast<std::size_t>(i)] = znorm * z[static_cast<std::size_t>(i)];
-            if (rank == 0) {  // stash for master
-              sc.pq = xz_all;
-              sc.zz = zz_all;
-            }
-          });
-          zeta = p.shift + 1.0 / sc.pq;
-          out.zeta_sum += zeta;
-        }, healthy);
-      } else {
-        // Forked: one dispatch per parallel loop — the per-loop fork/join
-        // cost the paper's overhead decomposition charges against Java's
-        // model.
-        steps.step(outer, [&](WorkerTeam& team, int) {
-          {
-            obs::ScopedTimer ot(r_cg);
-            conj_grad_forked<P, V>(m, x, z, r, pvec, q, p.cg_iters, team, sc,
-                                   sched);
-          }
-          obs::ScopedTimer ot(r_norm);
-          const double xz = parallel_reduce_sum(team, Schedule{}, 0, n, [&](long i) {
-            return x[static_cast<std::size_t>(i)] * z[static_cast<std::size_t>(i)];
-          });
-          const double zz = parallel_reduce_sum(team, Schedule{}, 0, n, [&](long i) {
-            return z[static_cast<std::size_t>(i)] * z[static_cast<std::size_t>(i)];
-          });
-          sc.pq = xz;
-          sc.zz = zz;
-          const double znorm = 1.0 / std::sqrt(zz);
-          parallel_ranges(team, Schedule{}, 0, n, [&](int, long lo, long hi) {
-            for (long i = lo; i < hi; ++i)
-              x[static_cast<std::size_t>(i)] = znorm * z[static_cast<std::size_t>(i)];
-          });
-          zeta = p.shift + 1.0 / sc.pq;
-          out.zeta_sum += zeta;
-        }, healthy);
-      }
-    }
+      ex.ranges(blocks, 0, n, [&](int, long lo, long hi) {
+        for (long i = lo; i < hi; ++i)
+          x[static_cast<std::size_t>(i)] = znorm * z[static_cast<std::size_t>(i)];
+      });
+      ex.single([&] {
+        sc.pq = xz;
+        sc.zz = zz;
+        zeta = p.shift + 1.0 / xz;
+        out.zeta_sum += zeta;
+      });
+    }, healthy);
   }
   out.seconds = wtime() - t0;
   out.zeta = zeta;
@@ -532,8 +398,8 @@ CgOutput cg_run(const CgParams& p, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template CgOutput cg_run<Unchecked>(const CgParams&, int, const TeamOptions&, WorkerTeam*);
-extern template CgOutput cg_run<Checked>(const CgParams&, int, const TeamOptions&, WorkerTeam*);
-extern template CgOutput cg_run<Unchecked, true>(const CgParams&, int, const TeamOptions&, WorkerTeam*);
+extern template CgOutput cg_run<Unchecked>(const CgParams&, const par::Launch&);
+extern template CgOutput cg_run<Checked>(const CgParams&, const par::Launch&);
+extern template CgOutput cg_run<Unchecked, true>(const CgParams&, const par::Launch&);
 
 }  // namespace npb::cg_detail

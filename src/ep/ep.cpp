@@ -5,8 +5,6 @@
 #include "common/reference.hpp"
 #include "common/verify.hpp"
 #include "ep/ep_impl.hpp"
-#include "fault/fault.hpp"
-#include "mem/mem.hpp"
 
 namespace npb {
 
@@ -24,17 +22,12 @@ EpParams ep_params(ProblemClass cls) noexcept {
 RunResult run_ep(const RunConfig& cfg) {
   using namespace ep_detail;
   const EpParams p = ep_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("EP", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
   // EP's hot loop is the branchy rejection-sampling kernel — nothing to lane-
   // parallelize — so --mode=vec runs the native instantiation (bit-identical;
   // the vec differential holds it to the Exact tier).
-  const EpOutput o = cfg.mode == Mode::Java
-                         ? ep_run<Checked>(p.log2_pairs, cfg.threads, topts, cfg.team)
-                         : ep_run<Unchecked>(p.log2_pairs, cfg.threads, topts, cfg.team);
+  const EpOutput o = run_kernel("EP", cfg, [&](auto m, const par::Launch& run) {
+    return ep_run<typename decltype(m)::Policy>(p.log2_pairs, run);
+  });
 
   RunResult r;
   r.name = "EP";

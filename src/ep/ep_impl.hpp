@@ -6,10 +6,8 @@
 // bottom keep other translation units from instantiating it implicitly.
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "array/array.hpp"
 #include "common/randlc.hpp"
@@ -17,8 +15,7 @@
 #include "fault/retry.hpp"
 #include "mem/mem.hpp"
 #include "obs/obs.hpp"
-#include "par/parallel_for.hpp"
-#include "par/region.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 
 namespace npb::ep_detail {
@@ -40,6 +37,16 @@ struct BlockAccum {
   double sy = 0.0;
   double accepted = 0.0;
   std::array<double, kAnnuli> q{};
+
+  /// Field-wise sum: the ordered combine of EP's reduction.
+  BlockAccum& operator+=(const BlockAccum& o) noexcept {
+    sx += o.sx;
+    sy += o.sy;
+    accepted += o.accepted;
+    for (int l = 0; l < kAnnuli; ++l)
+      q[static_cast<std::size_t>(l)] += o.q[static_cast<std::size_t>(l)];
+    return *this;
+  }
 };
 
 /// Processes one block of kBlockPairs pairs starting at pair offset
@@ -73,8 +80,7 @@ void ep_block(long block, Array1<double, P>& buf, BlockAccum& acc) {
 }
 
 template <class P>
-EpOutput ep_run(int log2_pairs, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+EpOutput ep_run(int log2_pairs, const par::Launch& run) {
   const long npairs = 1L << log2_pairs;
   const long nblocks = (npairs + kBlockPairs - 1) / kBlockPairs;
 
@@ -83,102 +89,53 @@ EpOutput ep_run(int log2_pairs, int threads, const TeamOptions& topts,
   EpOutput out;
   const double t0 = wtime();
 
-  if (threads == 0) {
-    Array1<double, P> buf(static_cast<std::size_t>(2 * kBlockPairs));
-    BlockAccum acc;
-    {
-      obs::ScopedTimer ot(r_blocks);
-      for (long b = 0; b < nblocks; ++b) ep_block<P>(b, buf, acc);
-    }
-    out.sx = acc.sx;
-    out.sy = acc.sy;
-    out.accepted = acc.accepted;
-    out.q = acc.q;
-  } else {
-    TeamRef base_ref(threads, topts, pooled);
-    WorkerTeam& base_team = *base_ref;
-    // EP's only buffers are per-rank block scratch allocated on the workers
-    // themselves (already the right first touch); the scope keeps the mem
-    // context uniform across benchmarks.
-    const mem::ScopedTeamPlacement placement(&base_team, topts.schedule);
+  TeamRef team_ref(run.threads, run.topts, run.pooled);
+  // EP's only buffers are per-rank block scratch allocated on the workers
+  // themselves (already the right first touch); the scope keeps the mem
+  // context uniform across benchmarks.
+  const mem::ScopedTeamPlacement placement(team_ref.get(), run.topts.schedule);
+  // EP is one shot, so the whole computation is one retry step.  The
+  // combined output fields are the only carried state: the partial
+  // accumulators are rebuilt per attempt, and the combined totals are
+  // registered as checkpoint spans so a retry starts them over and a
+  // durable resume restores the finished totals.
+  fault::Checkpoint ckpt;
+  ckpt.add(&out.sx, sizeof out.sx);
+  ckpt.add(&out.sy, sizeof out.sy);
+  ckpt.add(&out.accepted, sizeof out.accepted);
+  ckpt.add(out.q.data(), out.q.size() * sizeof(double));
+  // The step is one reduction and nothing else, which is one dispatch in
+  // either shape; it runs forked, so its partials combine on the master
+  // after the join instead of behind two region barriers.
+  fault::Steps steps(team_ref.get(), /*fused=*/false, ckpt);
+  steps.step(1, [&](auto& ex) {
+    auto bufs = ex.workspace(
+        [] { return Array1<double, P>(static_cast<std::size_t>(2 * kBlockPairs)); });
     // Blocks are independent (each seeds itself by skip-ahead), so any
-    // schedule partitions them safely.  Static keeps one accumulator per
-    // rank, combined in rank order; Dynamic/Guided accumulate per *chunk*
-    // and combine in chunk order — chunk boundaries are a pure function of
-    // the schedule, so the sums no longer depend on which rank wins each
-    // claim race, and the fused and forked drivers (which share rank_body)
-    // are bit-identical.
-    const Schedule sched = topts.schedule;
-    std::vector<BlockAccum> partial;
-    std::vector<Range> chunks;
-    alignas(64) std::atomic<std::size_t> cursor{0};
-    // EP is one shot, so the whole computation is one retry step.  The
-    // combined output fields are the only carried state: the per-rank
-    // accumulators below are (re)built per attempt from the width actually
-    // running, and the deterministic combine happens at the end of the step
-    // body — registered as checkpoint spans so a retry rolls the combine
-    // back and a durable resume restores the finished totals.
-    fault::Checkpoint ckpt;
-    ckpt.add(&out.sx, sizeof out.sx);
-    ckpt.add(&out.sy, sizeof out.sy);
-    ckpt.add(&out.accepted, sizeof out.accepted);
-    ckpt.add(out.q.data(), out.q.size() * sizeof(double));
-    fault::StepRunner steps(base_team, topts, ckpt);
-    steps.step(1, [&](WorkerTeam& team, int nt) {
-      cursor.store(0, std::memory_order_relaxed);
-      if (sched.kind == Schedule::Kind::Static) {
-        partial.assign(static_cast<std::size_t>(nt), BlockAccum{});
-      } else {
-        schedule_chunks_into(chunks, 0, nblocks, sched, nt);
-        partial.assign(chunks.size(), BlockAccum{});
-      }
-      auto rank_body = [&](int rank) {
-        Array1<double, P> buf(static_cast<std::size_t>(2 * kBlockPairs));
-        obs::ScopedTimer ot(r_blocks);
-        if (sched.kind == Schedule::Kind::Static) {
-          BlockAccum acc;
-          const Range r = partition(0, nblocks, rank, nt);
-          for (long b = r.lo; b < r.hi; ++b) ep_block<P>(b, buf, acc);
-          detail::record_loop_iters(rank, r.size());
-          partial[static_cast<std::size_t>(rank)] = acc;
-        } else {
-          long iters = 0;
-          for (;;) {
-            const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (c >= chunks.size()) break;
-            BlockAccum acc;
-            for (long b = chunks[c].lo; b < chunks[c].hi; ++b)
-              ep_block<P>(b, buf, acc);
-            partial[c] = acc;
-            iters += chunks[c].size();
-          }
-          detail::record_loop_iters(rank, iters);
-        }
-      };
-      // EP is embarrassingly parallel — a single dispatch either way; fusion
-      // just routes it through the SPMD region entry so team/region_span and
-      // the dispatch count line up with the other benchmarks' tables.
-      if (topts.fused) {
-        spmd(team, [&](ParallelRegion&, int rank) { rank_body(rank); });
-      } else {
-        team.run(rank_body);
-      }
-      // Deterministic combine: rank order (Static) or chunk order.
-      for (const BlockAccum& acc : partial) {
-        out.sx += acc.sx;
-        out.sy += acc.sy;
-        out.accepted += acc.accepted;
-        for (int l = 0; l < kAnnuli; ++l) out.q[static_cast<std::size_t>(l)] +=
-            acc.q[static_cast<std::size_t>(l)];
-      }
+    // schedule partitions them safely: one accumulator per rank (Static)
+    // or per chunk (Dynamic/Guided), combined in that order, so the sums
+    // do not depend on which rank wins a claim.
+    const BlockAccum acc = ex.template reduce<BlockAccum>(
+        run.topts.schedule, 0, nblocks, [&](int rank, long lo, long hi) {
+          Array1<double, P>& buf = bufs[rank];
+          obs::ScopedTimer ot(r_blocks);
+          BlockAccum a;
+          for (long b = lo; b < hi; ++b) ep_block<P>(b, buf, a);
+          return a;
+        });
+    ex.single([&] {
+      out.sx = acc.sx;
+      out.sy = acc.sy;
+      out.accepted = acc.accepted;
+      out.q = acc.q;
     });
-  }
+  });
 
   out.seconds = wtime() - t0;
   return out;
 }
 
-extern template EpOutput ep_run<Unchecked>(int, int, const TeamOptions&, WorkerTeam*);
-extern template EpOutput ep_run<Checked>(int, int, const TeamOptions&, WorkerTeam*);
+extern template EpOutput ep_run<Unchecked>(int, const par::Launch&);
+extern template EpOutput ep_run<Checked>(int, const par::Launch&);
 
 }  // namespace npb::ep_detail

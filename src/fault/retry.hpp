@@ -11,7 +11,11 @@
 //   ckpt.add(x.data(), x.size() * sizeof(double));
 //   fault::StepRunner steps(team, topts, ckpt);
 //   for (int it = 1; it <= niter; ++it)
-//     steps.step(it, [&](WorkerTeam& tm, int nt) { ...one time step... });
+//     steps.step(it, [&](WorkerTeam& tm) { ...one time step... });
+//
+// Benchmark drivers reach it through fault::Steps (bottom of this file),
+// which runs a step written once against an execution shape (par/exec.hpp)
+// inline when serial and through a StepRunner on a team.
 //
 // step() is a straight pass-through when no fault session is armed (no save,
 // no gating, no extra branches in the hot loop beyond one relaxed load).
@@ -37,7 +41,8 @@
 // by the number of blamed ranks (Injector::failed_ranks, fed by injection
 // sites and the watchdog), builds a fresh WorkerTeam at the smaller width
 // with the same TeamOptions, and re-runs the step there.  Bodies receive
-// (team, nt) precisely so they can re-partition per attempt.  Results after
+// the team of the attempt precisely so they can re-partition per attempt
+// (its size() is the width actually running).  Results after
 // degradation are still *valid* (NPB verification passes) but not
 // bit-identical to the original width — partition-dependent reduction orders
 // change — which is why the differential tests pin transient faults to a
@@ -48,6 +53,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -59,6 +65,7 @@
 #include "fault/fault.hpp"
 #include "mem/mem.hpp"
 #include "obs/obs.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 
 namespace npb::fault {
@@ -160,8 +167,8 @@ class Checkpoint {
 
 /// Runs time steps with checkpoint/retry/degradation under an armed fault
 /// session, and as a zero-copy pass-through otherwise.  One StepRunner per
-/// benchmark run; bodies are `body(WorkerTeam& tm, int nt)` and must derive
-/// every partition from (tm, nt) rather than the original thread count, so a
+/// benchmark run; bodies are `body(WorkerTeam& tm)` and must derive every
+/// partition from tm.size() rather than the original thread count, so a
 /// degraded re-run re-partitions cleanly.
 class StepRunner {
  public:
@@ -206,7 +213,7 @@ class StepRunner {
     // checkpoint session always takes the slow path — it needs the shadow
     // snapshot as the serialization source and the resume-skip gate.
     if (session_ == nullptr && !inj.armed() && topts_.watchdog_ms <= 0) {
-      body(team(), width_);
+      body(team());
       if (ckpt::interrupt_requested()) throw ckpt::Interrupted(step_no);
       return;
     }
@@ -223,7 +230,7 @@ class StepRunner {
       inj.set_step(step_no);
       bool failed = false;
       try {
-        body(team(), width_);
+        body(team());
         failed = !healthy();
         if (!failed && session_ != nullptr && session_->should_flush(step_no)) {
           // Still inside the injection window: a ckpt:corrupt spec decides
@@ -308,6 +315,40 @@ class StepRunner {
   ckpt::Session* session_;        ///< durable session, or nullptr
   long resume_step_ = ckpt::kNoStep;  ///< steps <= this replay from disk
   std::unique_ptr<WorkerTeam> degraded_;
+};
+
+/// A benchmark driver's time-step loop over its run's execution shape
+/// (par/exec.hpp).  step(it, body) runs the step body(ex) once: inline as
+/// par::Serial when the run has no team, otherwise through a StepRunner
+/// (retry, degradation, durable checkpoints) as par::Fused or par::Forked
+/// on whichever team the attempt runs on.  Serial runs never enter a
+/// StepRunner, so `ckpt` is only read on a team.
+class Steps {
+ public:
+  Steps(WorkerTeam* team, bool fused, Checkpoint& ckpt) : fused_(fused) {
+    if (team != nullptr) runner_.emplace(*team, team->options(), ckpt);
+  }
+
+  template <class Body>
+  void step(long step_no, Body&& body) {
+    step(step_no, body, [] { return true; });
+  }
+
+  template <class Body, class Healthy>
+  void step(long step_no, Body&& body, Healthy&& healthy) {
+    if (!runner_) {
+      par::Serial ex;
+      body(ex);
+      return;
+    }
+    runner_->step(
+        step_no, [&](WorkerTeam& tm) { par::run(&tm, fused_, body); },
+        healthy);
+  }
+
+ private:
+  bool fused_;
+  std::optional<StepRunner> runner_;
 };
 
 }  // namespace npb::fault

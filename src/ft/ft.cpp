@@ -5,8 +5,6 @@
 #include "common/reference.hpp"
 #include "common/verify.hpp"
 #include "ft/ft_impl.hpp"
-#include "fault/fault.hpp"
-#include "mem/mem.hpp"
 
 namespace npb {
 
@@ -24,17 +22,12 @@ FtParams ft_params(ProblemClass cls) noexcept {
 RunResult run_ft(const RunConfig& cfg) {
   using namespace ft_detail;
   const FtParams p = ft_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("FT", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
   // FT's butterflies are strided complex recurrences the wrapper's
   // contiguous double lanes don't map onto, so --mode=vec runs the native
   // instantiation (bit-identical; Exact tier).
-  const FtOutput o = cfg.mode == Mode::Java
-                         ? ft_run<Checked>(p, cfg.threads, topts, cfg.team)
-                         : ft_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+  const FtOutput o = run_kernel("FT", cfg, [&](auto m, const par::Launch& run) {
+    return ft_run<typename decltype(m)::Policy>(p, run);
+  });
 
   RunResult r;
   r.name = "FT";

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <optional>
 #include <vector>
 
 #include "array/array.hpp"
@@ -21,8 +20,7 @@
 #include "ft/ft.hpp"
 #include "mem/mem.hpp"
 #include "obs/obs.hpp"
-#include "par/parallel_for.hpp"
-#include "par/region.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 
 namespace npb::ft_detail {
@@ -127,23 +125,38 @@ struct FtState {
            static_cast<std::size_t>(n3);
   }
 
-  /// The three 1-D pass sweeps, expressed against a generic driver so the
-  /// forked (fft3d) and fused (fft3d_region) transforms share the pass
-  /// bodies verbatim: `run_pass(outer_n, line_of)` must run line_of(o, sre,
-  /// sim) for every o in [0, outer_n) across whatever execution shape it
-  /// owns, finishing each pass before the next starts.
-  template <class RunPass>
-  void fft_passes(Array1<double, P>& re, Array1<double, P>& im, int sign,
-                  const RunPass& run_pass) const {
+  /// One scratch line pair (capacity max(n1, n2, n3)) for gathering a
+  /// strided line before its 1-D transform.
+  struct Scratch {
+    Array1<double, P> re, im;
+  };
+  Scratch make_scratch() const {
+    const auto maxn = static_cast<std::size_t>(std::max({n1, n2, n3}));
+    return {Array1<double, P>(maxn), Array1<double, P>(maxn)};
+  }
+
+  /// 3-D transform of (re, im), forward or inverse, under an execution
+  /// shape (par/exec.hpp): three 1-D passes over static blocks of lines,
+  /// each closed by sync(), with `ws[rank]` the rank's scratch pair.
+  template <class Ex, class Ws>
+  void fft3d(Ex& ex, Array1<double, P>& re, Array1<double, P>& im, int sign,
+             Ws& ws) const {
     const auto s23 = static_cast<std::size_t>(n2) * static_cast<std::size_t>(n3);
+    auto pass = [&](long outer_n, const auto& line_of) {
+      ex.ranges(Schedule{}, 0, outer_n, [&](int rank, long lo, long hi) {
+        Scratch& sc = ws[rank];
+        for (long o = lo; o < hi; ++o) line_of(o, sc.re, sc.im);
+      });
+      ex.sync();
+    };
 
     // Along i3 (contiguous): one line per (i1, i2).
-    run_pass(n1 * n2, [&](long o, Array1<double, P>& sre, Array1<double, P>& sim) {
+    pass(n1 * n2, [&](long o, Array1<double, P>& sre, Array1<double, P>& sim) {
       fft_line(re, im, static_cast<std::size_t>(o) * static_cast<std::size_t>(n3), 1,
                n3, tw3, sign, sre, sim);
     });
     // Along i2 (stride n3): one line per (i1, i3).
-    run_pass(n1 * n3, [&](long o, Array1<double, P>& sre, Array1<double, P>& sim) {
+    pass(n1 * n3, [&](long o, Array1<double, P>& sre, Array1<double, P>& sim) {
       const long i1 = o / n3;
       const long i3 = o % n3;
       fft_line(re, im,
@@ -151,42 +164,18 @@ struct FtState {
                static_cast<std::size_t>(n3), n2, tw2, sign, sre, sim);
     });
     // Along i1 (stride n2*n3): one line per (i2, i3).
-    run_pass(n2 * n3, [&](long o, Array1<double, P>& sre, Array1<double, P>& sim) {
+    pass(n2 * n3, [&](long o, Array1<double, P>& sre, Array1<double, P>& sim) {
       fft_line(re, im, static_cast<std::size_t>(o), s23, n1, tw1, sign, sre, sim);
     });
   }
 
-  /// 3-D transform of (re, im), forward or inverse, optionally on a team.
-  void fft3d(Array1<double, P>& re, Array1<double, P>& im, int sign,
-             WorkerTeam* team) const {
-    const long maxn = std::max({n1, n2, n3});
-    fft_passes(re, im, sign, [&](long outer_n, auto&& line_of) {
-      if (team == nullptr) {
-        Array1<double, P> sre(static_cast<std::size_t>(maxn));
-        Array1<double, P> sim(static_cast<std::size_t>(maxn));
-        for (long o = 0; o < outer_n; ++o) line_of(o, sre, sim);
-      } else {
-        team->run([&](int rank) {
-          Array1<double, P> sre(static_cast<std::size_t>(maxn));
-          Array1<double, P> sim(static_cast<std::size_t>(maxn));
-          const Range rg = partition(0, outer_n, rank, team->size());
-          for (long o = rg.lo; o < rg.hi; ++o) line_of(o, sre, sim);
-        });
-      }
-    });
-  }
-
-  /// In-region 3-D transform: collective — every rank of an open SPMD
-  /// region calls it with its rank and its own scratch pair (capacity
-  /// max(n1,n2,n3)); passes are separated by region barriers.  Partitioning
-  /// matches fft3d's forked dispatches, so results are bit-identical.
-  void fft3d_region(Array1<double, P>& re, Array1<double, P>& im, int sign,
-                    ParallelRegion& region, int rank, int nranks,
-                    Array1<double, P>& sre, Array1<double, P>& sim) const {
-    fft_passes(re, im, sign, [&](long outer_n, auto&& line_of) {
-      const Range rg = partition(0, outer_n, rank, nranks);
-      for (long o = rg.lo; o < rg.hi; ++o) line_of(o, sre, sim);
-      region.barrier();
+  /// A whole 3-D transform as its own (set-up or check) phase: forked over
+  /// `team`, or inline without one.
+  void fft3d(WorkerTeam* team, Array1<double, P>& re, Array1<double, P>& im,
+             int sign) const {
+    par::run(team, false, [&](auto& ex) {
+      auto ws = ex.workspace([this] { return make_scratch(); });
+      fft3d(ex, re, im, sign, ws);
     });
   }
 };
@@ -200,15 +189,13 @@ inline void initial_value(std::size_t e, double& vre, double& vim) {
 }
 
 template <class P>
-FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+FtOutput ft_run(const FtParams& p, const par::Launch& run) {
   // Team first, then allocation: under FirstTouch the big field arrays are
   // committed slab-by-slab on the ranks whose i1-planes they hold — FT's
   // memory-pressure collapse in the paper is exactly the cost of streaming
   // the whole field out of one node.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  TeamRef team_ref(run.threads, run.topts, run.pooled);
+  WorkerTeam* team = team_ref.get();
   // Loops here partition statically whatever the team's default schedule.
   const mem::ScopedTeamPlacement placement(team, Schedule{});
 
@@ -221,31 +208,22 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
   // Untimed initialization: the random field, filled in flat order with two
   // randlc values per element (parallel-safe via skip-ahead).
   double v0_norm2 = 0.0;
-  {
-    auto fill = [&](long lo, long hi) -> double {
-      double x = randlc_skip(kFtSeed, kDefaultMultiplier,
-                             2ULL * static_cast<unsigned long long>(lo));
-      double acc = 0.0;
-      for (long e = lo; e < hi; ++e) {
-        const double a = randlc(x, kDefaultMultiplier);
-        const double b = randlc(x, kDefaultMultiplier);
-        vfre[static_cast<std::size_t>(e)] = a;
-        vfim[static_cast<std::size_t>(e)] = b;
-        acc += a * a + b * b;
-      }
-      return acc;
-    };
-    if (team == nullptr) {
-      v0_norm2 = fill(0, static_cast<long>(total));
-    } else {
-      std::vector<detail::PaddedDouble> partial(static_cast<std::size_t>(threads));
-      team->run([&](int rank) {
-        const Range rg = partition(0, static_cast<long>(total), rank, threads);
-        partial[static_cast<std::size_t>(rank)].v = fill(rg.lo, rg.hi);
-      });
-      for (const auto& q : partial) v0_norm2 += q.v;
-    }
-  }
+  par::run(team, false, [&](auto& ex) {
+    v0_norm2 = ex.template reduce<double>(
+        Schedule{}, 0, static_cast<long>(total), [&](int, long lo, long hi) {
+          double x = randlc_skip(kFtSeed, kDefaultMultiplier,
+                                 2ULL * static_cast<unsigned long long>(lo));
+          double acc = 0.0;
+          for (long e = lo; e < hi; ++e) {
+            const double a = randlc(x, kDefaultMultiplier);
+            const double b = randlc(x, kDefaultMultiplier);
+            vfre[static_cast<std::size_t>(e)] = a;
+            vfim[static_cast<std::size_t>(e)] = b;
+            acc += a * a + b * b;
+          }
+          return acc;
+        });
+  });
 
   const obs::RegionId r_fft = obs::region("FT/fft");
   const obs::RegionId r_evolve = obs::region("FT/evolve");
@@ -258,7 +236,7 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
   // space for the whole run.
   {
     obs::ScopedTimer ot(r_fft);
-    st.fft3d(vfre, vfim, +1, team);
+    st.fft3d(team, vfre, vfim, +1);
   }
 
   // Per-dimension Gaussian decay factors, recomputed each timestep.  Array1
@@ -273,17 +251,13 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
   // state: the frequency field vf is read-only during the loop, the decay
   // tables and the working copy w are fully rewritten each step (evolve
   // writes every element before the in-place inverse transform).  The one
-  // carried accumulator is the per-step checksum pair, so the team path
-  // pre-sizes it, computes it inside the step body, and registers it as the
-  // only span — a retry rolls it back and a durable resume restores every
-  // replayed step's checksum.
+  // carried accumulator is the per-step checksum pair, computed inside the
+  // step body and registered as the only span — a retry rolls it back and a
+  // durable resume restores every replayed step's checksum.
+  out.checksums.assign(2 * static_cast<std::size_t>(p.iterations), 0.0);
   fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    out.checksums.assign(2 * static_cast<std::size_t>(p.iterations), 0.0);
-    ckpt.add(out.checksums.data(), out.checksums.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
+  ckpt.add(out.checksums.data(), out.checksums.size() * sizeof(double));
+  fault::Steps steps(team, run.fused, ckpt);
 
   for (int t = 1; t <= p.iterations; ++t) {
     auto fill_decay = [&](Array1<double, P>& e, long n) {
@@ -294,7 +268,7 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
       }
     };
     // evolve: w = vf * e1[k1] e2[k2] e3[k3]
-    auto evolve = [&](long lo1, long hi1) {
+    auto evolve = [&](int, long lo1, long hi1) {
       for (long k1 = lo1; k1 < hi1; ++k1)
         for (long k2 = 0; k2 < p.n2; ++k2) {
           const double f12 = e1[static_cast<std::size_t>(k1)] *
@@ -314,10 +288,9 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
         }
     };
     // Checksum 1024 scattered elements of the step's evolved field.
-    auto checksum = [&](double& cre, double& cim) {
+    auto checksum = [&] {
       obs::ScopedTimer ot(r_checksum);
-      cre = 0.0;
-      cim = 0.0;
+      double cre = 0.0, cim = 0.0;
       for (long j = 1; j <= 1024; ++j) {
         const auto i1 = static_cast<std::size_t>((5 * j) % p.n1);
         const auto i2 = static_cast<std::size_t>((3 * j) % p.n2);
@@ -328,71 +301,31 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
         cre += wre[at];
         cim += wim[at];
       }
+      out.checksums[2 * static_cast<std::size_t>(t - 1)] = cre;
+      out.checksums[2 * static_cast<std::size_t>(t - 1) + 1] = cim;
     };
-    if (team == nullptr) {
-      fill_decay(e1, p.n1);
-      fill_decay(e2, p.n2);
-      fill_decay(e3, p.n3);
+    // Decay tables, evolve and the three inverse-FFT passes: one dispatch
+    // per loop when forked, one region per step when fused.  Each rank
+    // keeps one scratch line pair for the whole step.
+    steps.step(t, [&](auto& ex) {
+      auto ws = ex.workspace([&] { return st.make_scratch(); });
+      ex.single([&] {
+        fill_decay(e1, p.n1);
+        fill_decay(e2, p.n2);
+        fill_decay(e3, p.n3);
+      });
+      ex.sync();
       {
         obs::ScopedTimer ot(r_evolve);
-        evolve(0, p.n1);
+        ex.ranges(Schedule{}, 0, p.n1, evolve);
       }
+      ex.sync();
       {
         obs::ScopedTimer ot(r_fft);
-        st.fft3d(wre, wim, -1, nullptr);
+        st.fft3d(ex, wre, wim, -1, ws);
       }
-      double cre = 0.0, cim = 0.0;
-      checksum(cre, cim);
-      out.checksums.push_back(cre);
-      out.checksums.push_back(cim);
-    } else {
-      steps->step(t, [&](WorkerTeam& tm, int nt) {
-        if (topts.fused) {
-          // Fused: decay tables, evolve, and all three inverse-FFT passes
-          // run resident in one dispatch per time step; each rank keeps one
-          // scratch line pair for the whole region instead of one per pass
-          // dispatch.
-          const long maxn = std::max({p.n1, p.n2, p.n3});
-          spmd(tm, [&](ParallelRegion& rg, int rank) {
-            Array1<double, P> sre(static_cast<std::size_t>(maxn));
-            Array1<double, P> sim(static_cast<std::size_t>(maxn));
-            if (rank == 0) {
-              fill_decay(e1, p.n1);
-              fill_decay(e2, p.n2);
-              fill_decay(e3, p.n3);
-            }
-            rg.barrier();
-            {
-              obs::ScopedTimer ot(r_evolve);
-              const Range r = partition(0, p.n1, rank, nt);
-              evolve(r.lo, r.hi);
-            }
-            rg.barrier();
-            obs::ScopedTimer ot(r_fft);
-            st.fft3d_region(wre, wim, -1, rg, rank, nt, sre, sim);
-          });
-        } else {
-          fill_decay(e1, p.n1);
-          fill_decay(e2, p.n2);
-          fill_decay(e3, p.n3);
-          {
-            obs::ScopedTimer ot(r_evolve);
-            tm.run([&](int rank) {
-              const Range rg = partition(0, p.n1, rank, nt);
-              evolve(rg.lo, rg.hi);
-            });
-          }
-          {
-            obs::ScopedTimer ot(r_fft);
-            st.fft3d(wre, wim, -1, &tm);
-          }
-        }
-        double cre = 0.0, cim = 0.0;
-        checksum(cre, cim);
-        out.checksums[2 * static_cast<std::size_t>(t - 1)] = cre;
-        out.checksums[2 * static_cast<std::size_t>(t - 1) + 1] = cim;
-      });
-    }
+      ex.single(checksum);
+    });
   }
   out.seconds = wtime() - t0;
 
@@ -409,7 +342,7 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
     wre[e] = vfre[e];
     wim[e] = vfim[e];
   }
-  st.fft3d(wre, wim, -1, team);
+  st.fft3d(team, wre, wim, -1);
   double maxerr = 0.0;
   const std::size_t samples = 4096;
   for (std::size_t s = 0; s < samples; ++s) {
@@ -423,7 +356,7 @@ FtOutput ft_run(const FtParams& p, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template FtOutput ft_run<Unchecked>(const FtParams&, int, const TeamOptions&, WorkerTeam*);
-extern template FtOutput ft_run<Checked>(const FtParams&, int, const TeamOptions&, WorkerTeam*);
+extern template FtOutput ft_run<Unchecked>(const FtParams&, const par::Launch&);
+extern template FtOutput ft_run<Checked>(const FtParams&, const par::Launch&);
 
 }  // namespace npb::ft_detail

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,9 +117,8 @@ RunResult run_getrf_irr(const RunConfig& cfg) {
   const fault::ScopedFaultSession fault_scope(cfg.fault);
   const mem::ScopedMemConfig mem_scope(cfg.mem);
 
-  std::optional<TeamRef> team_storage;
-  if (cfg.threads > 0) team_storage.emplace(cfg.threads, topts, cfg.team);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  TeamRef team_ref(cfg.threads, topts, cfg.team);
+  WorkerTeam* team = team_ref.get();
 
   const long n = p.n;
   std::vector<double> pristine(static_cast<std::size_t>(n * n));
@@ -160,7 +158,7 @@ RunResult run_getrf_irr(const RunConfig& cfg) {
     fault::StepRunner steps(*team, topts, ckpt);
     t0 = wtime();
     for (int it = 1; it <= p.iterations; ++it) {
-      steps.step(it, [&](WorkerTeam& tm, int) {
+      steps.step(it, [&](WorkerTeam& tm) {
         obs::ScopedTimer ot(r_factor);
         irr_detail::run_parallel(&tm, cfg.runtime, kernel);
       });

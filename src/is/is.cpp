@@ -3,8 +3,6 @@
 #include "common/reference.hpp"
 #include "common/verify.hpp"
 #include "is/is_impl.hpp"
-#include "fault/fault.hpp"
-#include "mem/mem.hpp"
 
 namespace npb {
 
@@ -22,17 +20,12 @@ IsParams is_params(ProblemClass cls) noexcept {
 RunResult run_is(const RunConfig& cfg) {
   using namespace is_detail;
   const IsParams p = is_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("IS", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
   // IS is integer bucket/counting work with no floating-point inner loop, so
   // --mode=vec runs the native instantiation (bit-identical; Exact tier).
-  const IsOutput o =
-      cfg.mode == Mode::Java
-          ? is_run<Checked>(p.total_keys, p.max_key, p.iterations, cfg.threads, topts, cfg.team)
-          : is_run<Unchecked>(p.total_keys, p.max_key, p.iterations, cfg.threads, topts, cfg.team);
+  const IsOutput o = run_kernel("IS", cfg, [&](auto m, const par::Launch& run) {
+    return is_run<typename decltype(m)::Policy>(p.total_keys, p.max_key,
+                                                p.iterations, run);
+  });
 
   RunResult r;
   r.name = "IS";

@@ -4,7 +4,6 @@
 // is_java.cpp (see ep_impl.hpp for the pattern).
 
 #include <array>
-#include <optional>
 #include <vector>
 
 #include "array/array.hpp"
@@ -13,8 +12,7 @@
 #include "fault/retry.hpp"
 #include "mem/mem.hpp"
 #include "obs/obs.hpp"
-#include "par/parallel_for.hpp"
-#include "par/region.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 
 namespace npb::is_detail {
@@ -48,8 +46,10 @@ void is_generate(Array1<int, P>& keys, long max_key, long lo, long hi) {
   }
 }
 
-/// One ranking pass: histogram the keys then inclusive-scan the histogram,
-/// so hist[k] == number of keys <= k afterwards (NPB's key_buff_ptr).
+/// One ranking pass in a single histogram: histogram the keys then
+/// inclusive-scan it, so hist[k] == number of keys <= k afterwards (NPB's
+/// key_buff_ptr).  The reference the driver's per-rank phases (private
+/// rows, merge, scan) reproduce.
 template <class P>
 void is_rank_serial(const Array1<int, P>& keys, long nkeys, Array1<int, P>& hist,
                     long max_key) {
@@ -62,17 +62,24 @@ void is_rank_serial(const Array1<int, P>& keys, long nkeys, Array1<int, P>& hist
 
 template <class P>
 IsOutput is_run(const long nkeys, const long max_key, const int iterations,
-                int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+                const par::Launch& run) {
   // Team before the key/histogram arrays so FirstTouch commits each rank's
   // key slice locally.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  const mem::ScopedTeamPlacement placement(
-      team_storage ? team_storage->get() : nullptr, topts.schedule);
+  TeamRef team_ref(run.threads, run.topts, run.pooled);
+  WorkerTeam* team = team_ref.get();
+  // Both ranking phases accumulate integers, so any claim order produces
+  // the same histogram; Dynamic/Guided let ranks whose key slices hash
+  // into cold cache lines hand work over instead of stretching the
+  // barrier — the paper's "small per-thread work in IS" pain point.
+  const Schedule sched = run.topts.schedule;
+  const mem::ScopedTeamPlacement placement(team, sched);
 
   Array1<int, P> keys(static_cast<std::size_t>(nkeys));
   Array1<int, P> hist(static_cast<std::size_t>(max_key));
+  // Per-rank private histograms (NPB OpenMP's work buffers); one row when
+  // serial.
+  Array2<int, P> thread_hist(static_cast<std::size_t>(team ? team->size() : 1),
+                             static_cast<std::size_t>(max_key));
 
   std::array<long, kProbes> probe{};
   for (int j = 0; j < kProbes; ++j) probe[static_cast<std::size_t>(j)] =
@@ -82,127 +89,84 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
   const obs::RegionId r_rank = obs::region("IS/rank");
 
   IsOutput out;
-
-  if (threads == 0) {
-    {
-      obs::ScopedTimer ot(r_generate);
-      is_generate(keys, max_key, 0, nkeys);
-    }
-    const double t0 = wtime();
-    for (int it = 1; it <= iterations; ++it) {
-      keys[static_cast<std::size_t>(it)] = it;
-      keys[static_cast<std::size_t>(nkeys - it)] = static_cast<int>(max_key - it);
-      {
-        obs::ScopedTimer ot(r_rank);
-        is_rank_serial(keys, nkeys, hist, max_key);
-      }
-      double ps = 0.0;
-      for (long pi : probe)
-        ps += hist[static_cast<std::size_t>(keys[static_cast<std::size_t>(pi)])];
-      out.probe_sums.push_back(ps);
-    }
-    out.seconds = wtime() - t0;
-  } else {
-    WorkerTeam& team = **team_storage;
-    // Per-thread private histograms (NPB OpenMP's work buffers).
-    Array2<int, P> thread_hist(static_cast<std::size_t>(threads),
-                               static_cast<std::size_t>(max_key));
-    {
-      obs::ScopedTimer ot(r_generate);
-      parallel_ranges(team, 0, nkeys, [&](int, long lo, long hi) {
+  {
+    obs::ScopedTimer ot(r_generate);
+    par::run(team, false, [&](auto& ex) {
+      ex.ranges(sched, 0, nkeys, [&](int, long lo, long hi) {
         is_generate(keys, max_key, lo, hi);
       });
-    }
-
-    // Both ranking phases accumulate integers, so any claim order produces
-    // the same histogram; Dynamic/Guided let ranks whose key slices hash
-    // into cold cache lines hand work over instead of stretching the
-    // barrier — the paper's "small per-thread work in IS" pain point.
-    const Schedule sched = topts.schedule;
-
-    // Phase bodies, shared by the fused and forked drivers so both produce
-    // the same (integer) histogram however the phases are dispatched.
-    // Phase 1: private histogram over a share of the keys.
-    auto zero_row = [&](int rank) {
-      for (long k = 0; k < max_key; ++k)
-        thread_hist(static_cast<std::size_t>(rank), static_cast<std::size_t>(k)) = 0;
-    };
-    auto count_keys = [&](int rank, long lo, long hi) {
-      const auto r = static_cast<std::size_t>(rank);
-      for (long i = lo; i < hi; ++i)
-        thread_hist(r, static_cast<std::size_t>(keys[static_cast<std::size_t>(i)]))++;
-    };
-    // Phase 2: merge private histograms over a share of the buckets (each
-    // bucket written exactly once).  `nt` is the width actually running —
-    // after a degraded retry it is smaller than the allocation width, and
-    // the stale rows above it must not be read.
-    auto merge_buckets = [&](long lo, long hi, int nt) {
-      for (long k = lo; k < hi; ++k) {
-        int sum = 0;
-        for (int t = 0; t < nt; ++t)
-          sum += thread_hist(static_cast<std::size_t>(t), static_cast<std::size_t>(k));
-        hist[static_cast<std::size_t>(k)] = sum;
-      }
-    };
-    // Phase 3: the scan is inherently sequential over buckets (the paper's
-    // point about small per-thread work in IS).
-    auto scan = [&] {
-      for (long k = 1; k < max_key; ++k)
-        hist[static_cast<std::size_t>(k)] += hist[static_cast<std::size_t>(k - 1)];
-    };
-
-    // One ranking iteration is the retry unit.  The keys array carries the
-    // accumulated per-iteration key modifications; hist and the per-probe
-    // sums are registered too because the post-loop full_verify reads the
-    // final histogram and the verification sums every iteration's probe —
-    // after a durable resume skips replayed iterations they only exist in
-    // the checkpoint.  The private histograms are rebuilt from scratch
-    // every iteration and stay unregistered.
-    out.probe_sums.assign(static_cast<std::size_t>(iterations), 0.0);
-    fault::Checkpoint ckpt;
-    ckpt.add(keys.data(), keys.size() * sizeof(int));
-    ckpt.add(hist.data(), hist.size() * sizeof(int));
-    ckpt.add(out.probe_sums.data(), out.probe_sums.size() * sizeof(double));
-    fault::StepRunner steps(team, topts, ckpt);
-    const double t0 = wtime();
-    for (int it = 1; it <= iterations; ++it) {
-      steps.step(it, [&](WorkerTeam& tm, int nt) {
-        if (topts.fused) {
-          // Fused: key modification, both histogram phases and the scan run
-          // resident in one dispatch per iteration.
-          obs::ScopedTimer ot(r_rank);
-          spmd(tm, [&](ParallelRegion& rg, int rank) {
-            if (rank == 0) {
-              keys[static_cast<std::size_t>(it)] = it;
-              keys[static_cast<std::size_t>(nkeys - it)] =
-                  static_cast<int>(max_key - it);
-            }
-            zero_row(rank);
-            rg.barrier();  // publish the modified keys
-            rg.ranges(rank, sched, 0, nkeys, count_keys);
-            rg.ranges(rank, sched, 0, max_key,
-                      [&](int, long lo, long hi) { merge_buckets(lo, hi, nt); });
-            if (rank == 0) scan();
-          });
-        } else {
-          // Forked: one dispatch per phase (zero, count, merge), master scan.
-          keys[static_cast<std::size_t>(it)] = it;
-          keys[static_cast<std::size_t>(nkeys - it)] = static_cast<int>(max_key - it);
-          obs::ScopedTimer ot(r_rank);
-          tm.run(zero_row);
-          parallel_ranges(tm, sched, 0, nkeys, count_keys);
-          parallel_ranges(tm, sched, 0, max_key,
-                          [&](int, long lo, long hi) { merge_buckets(lo, hi, nt); });
-          scan();
-        }
-        double ps = 0.0;
-        for (long pi : probe)
-          ps += hist[static_cast<std::size_t>(keys[static_cast<std::size_t>(pi)])];
-        out.probe_sums[static_cast<std::size_t>(it - 1)] = ps;
-      });
-    }
-    out.seconds = wtime() - t0;
+    });
   }
+
+  // Phase 1: private histogram over a share of the keys.
+  auto zero_rows = [&](int, long lo, long hi) {
+    for (long t = lo; t < hi; ++t)
+      for (long k = 0; k < max_key; ++k)
+        thread_hist(static_cast<std::size_t>(t), static_cast<std::size_t>(k)) = 0;
+  };
+  auto count_keys = [&](int rank, long lo, long hi) {
+    const auto r = static_cast<std::size_t>(rank);
+    for (long i = lo; i < hi; ++i)
+      thread_hist(r, static_cast<std::size_t>(keys[static_cast<std::size_t>(i)]))++;
+  };
+  // Phase 2: merge private histograms over a share of the buckets (each
+  // bucket written exactly once).  `nt` is the width actually running —
+  // after a degraded retry it is smaller than the allocation width, and
+  // the stale rows above it must not be read.
+  auto merge_buckets = [&](long lo, long hi, int nt) {
+    for (long k = lo; k < hi; ++k) {
+      int sum = 0;
+      for (int t = 0; t < nt; ++t)
+        sum += thread_hist(static_cast<std::size_t>(t), static_cast<std::size_t>(k));
+      hist[static_cast<std::size_t>(k)] = sum;
+    }
+  };
+  // Phase 3: the scan is inherently sequential over buckets (the paper's
+  // point about small per-thread work in IS), then the probe ranks.
+  auto scan_and_probe = [&](int it) {
+    for (long k = 1; k < max_key; ++k)
+      hist[static_cast<std::size_t>(k)] += hist[static_cast<std::size_t>(k - 1)];
+    double ps = 0.0;
+    for (long pi : probe)
+      ps += hist[static_cast<std::size_t>(keys[static_cast<std::size_t>(pi)])];
+    out.probe_sums[static_cast<std::size_t>(it - 1)] = ps;
+  };
+
+  // One ranking iteration is the retry unit.  The keys array carries the
+  // accumulated per-iteration key modifications; hist and the per-probe
+  // sums are registered too because the post-loop full_verify reads the
+  // final histogram and the verification sums every iteration's probe —
+  // after a durable resume skips replayed iterations they only exist in
+  // the checkpoint.  The private histograms are rebuilt from scratch
+  // every iteration and stay unregistered.
+  out.probe_sums.assign(static_cast<std::size_t>(iterations), 0.0);
+  fault::Checkpoint ckpt;
+  ckpt.add(keys.data(), keys.size() * sizeof(int));
+  ckpt.add(hist.data(), hist.size() * sizeof(int));
+  ckpt.add(out.probe_sums.data(), out.probe_sums.size() * sizeof(double));
+  fault::Steps steps(team, run.fused, ckpt);
+  const double t0 = wtime();
+  for (int it = 1; it <= iterations; ++it) {
+    // Key modification, both histogram phases and the scan: one dispatch
+    // per phase when forked, one region per iteration when fused.
+    obs::ScopedTimer ot(r_rank);
+    steps.step(it, [&](auto& ex) {
+      const int nt = ex.size();
+      ex.single([&] {
+        keys[static_cast<std::size_t>(it)] = it;
+        keys[static_cast<std::size_t>(nkeys - it)] = static_cast<int>(max_key - it);
+      });
+      ex.ranges(Schedule{}, 0, nt, zero_rows);
+      ex.sync();  // publish the modified keys and the zeroed rows
+      ex.ranges(sched, 0, nkeys, count_keys);
+      ex.sync();
+      ex.ranges(sched, 0, max_key,
+                [&](int, long lo, long hi) { merge_buckets(lo, hi, nt); });
+      ex.sync();
+      ex.single([&] { scan_and_probe(it); });
+    });
+  }
+  out.seconds = wtime() - t0;
 
   // ---- untimed verification machinery (NPB full_verify) ----
   for (long i = 0; i < nkeys; ++i)
@@ -235,7 +199,7 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
   return out;
 }
 
-extern template IsOutput is_run<Unchecked>(long, long, int, int, const TeamOptions&, WorkerTeam*);
-extern template IsOutput is_run<Checked>(long, long, int, int, const TeamOptions&, WorkerTeam*);
+extern template IsOutput is_run<Unchecked>(long, long, int, const par::Launch&);
+extern template IsOutput is_run<Checked>(long, long, int, const par::Launch&);
 
 }  // namespace npb::is_detail

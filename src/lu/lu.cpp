@@ -1,8 +1,6 @@
 #include "lu/lu.hpp"
 
 #include "lu/lu_impl.hpp"
-#include "fault/fault.hpp"
-#include "mem/mem.hpp"
 
 namespace npb {
 
@@ -22,17 +20,12 @@ pseudoapp::AppParams lu_params(ProblemClass cls) noexcept {
 RunResult run_lu(const RunConfig& cfg) {
   using namespace lu_detail;
   const AppParams p = lu_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("LU", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
   // LU's SSOR sweeps carry a point-to-point dependence through every 5x5
   // block solve (wavefront order), so --mode=vec runs the native
   // instantiation (bit-identical; Exact tier).
-  const AppOutput o = cfg.mode == Mode::Java
-                          ? lu_run<Checked>(p, cfg.threads, topts, cfg.team)
-                          : lu_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+  const AppOutput o = run_kernel("LU", cfg, [&](auto m, const par::Launch& run) {
+    return lu_run<typename decltype(m)::Policy>(p, run);
+  });
 
   // Per point per iteration: RHS stencil (~500 flops) plus two relaxation
   // sweeps of ~600 flops each (block builds, couplings, factor, solve).
@@ -46,17 +39,12 @@ RunResult run_lu(const RunConfig& cfg) {
 RunResult run_lu_hp(const RunConfig& cfg) {
   using namespace lu_detail;
   const AppParams p = lu_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
   // Distinct checkpoint identity: LU-HP's hyperplane sweeps carry the same
   // u field but a different execution shape, so its files never collide
   // with run_lu's in a shared --ckpt-dir.
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("LU-HP", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
-  const AppOutput o = cfg.mode == Mode::Java
-                          ? lu_run_hp<Checked>(p, cfg.threads, topts, cfg.team)
-                          : lu_run_hp<Unchecked>(p, cfg.threads, topts, cfg.team);
+  const AppOutput o = run_kernel("LU-HP", cfg, [&](auto m, const par::Launch& run) {
+    return lu_run_hp<typename decltype(m)::Policy>(p, run);
+  });
 
   const double pts = static_cast<double>((p.n - 2)) * static_cast<double>((p.n - 2)) *
                      static_cast<double>((p.n - 2));

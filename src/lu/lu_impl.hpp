@@ -4,15 +4,13 @@
 // lu_java.cpp (see ep_impl.hpp for the pattern).
 
 #include <algorithm>
-#include <optional>
 
 #include "common/wtime.hpp"
 #include "fault/retry.hpp"
 #include "mem/mem.hpp"
 #include "obs/obs.hpp"
-#include "par/parallel_for.hpp"
+#include "par/exec.hpp"
 #include "par/pipeline.hpp"
-#include "par/region.hpp"
 #include "par/team.hpp"
 #include "pseudoapp/app.hpp"
 #include "pseudoapp/block_impl.hpp"
@@ -107,15 +105,44 @@ void relax_cell(Fields<P>& f, double dt, long i, long j, long k) {
   })
 }
 
+/// The interior-cell update u += tmp * rhs over i-planes [lo, hi).
 template <class P>
-AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+void add_planes(Fields<P>& f, double tmp, long lo, long hi) {
+  const long n = f.n;
+  for (long i = lo; i < hi; ++i)
+    for (long j = 1; j < n - 1; ++j)
+      for (long k = 1; k < n - 1; ++k)
+        for (int m = 0; m < kComps; ++m)
+          f.u(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
+              static_cast<std::size_t>(k), static_cast<std::size_t>(m)) +=
+              tmp * f.rhs(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
+                          static_cast<std::size_t>(k), static_cast<std::size_t>(m));
+}
+
+/// LU's NPB-style section timers, interned in report order.
+struct LuRegions {
+  obs::RegionId rhs = obs::region("LU/rhs");
+  obs::RegionId lower = obs::region("LU/lower");
+  obs::RegionId upper = obs::region("LU/upper");
+  obs::RegionId add = obs::region("LU/add");
+};
+
+/// The driver both LU variants share: set-up, the SSOR step loop and the
+/// final norms.  Each step computes the rhs over static slabs, then runs
+/// sweeps(rx, f, dt, slab) and the correction as one rank-resident section
+/// (its own dispatch when forked, part of the step's region when fused);
+/// `sweeps` leaves every rank's writes published (it ends on a barrier).
+/// pre(team) runs once per step before the section (pipeline resets).  The
+/// serial shape runs the same sweeps as rank 0 of 1.
+template <class P, class Pre, class Sweeps>
+AppOutput lu_drive(const AppParams& prm, const par::Launch& run,
+                   const LuRegions& regions, const Pre& pre,
+                   const Sweeps& sweeps) {
   // Team before the fields: under FirstTouch each rank commits the
   // k-plane slabs it will sweep, instead of every page faulting in on
   // the master during init_fields.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  TeamRef team_ref(run.threads, run.topts, run.pooled);
+  WorkerTeam* team = team_ref.get();
   // Loops here partition statically whatever the team's default schedule.
   const mem::ScopedTeamPlacement placement(team, Schedule{});
 
@@ -125,51 +152,77 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
   const double dt = prm.dt;
   const double tmp = 1.0 / (kOmega * (2.0 - kOmega));
 
-  auto do_rhs = [&] {
-    if (team == nullptr) {
-      compute_rhs_planes(f, 1, n - 1);
-    } else {
-      team->run([&](int rank) {
-        const Range r = partition(1, n - 1, rank, team->size());
-        compute_rhs_planes(f, r.lo, r.hi);
-      });
-    }
+  auto rhs = [&](auto& ex) {
+    ex.ranges(Schedule{}, 1, n - 1,
+              [&](int, long lo, long hi) { compute_rhs_planes(f, lo, hi); });
   };
 
-  const obs::RegionId r_rhs = obs::region("LU/rhs");
-  const obs::RegionId r_lower = obs::region("LU/lower");
-  const obs::RegionId r_upper = obs::region("LU/upper");
-  const obs::RegionId r_add = obs::region("LU/add");
-
   AppOutput out;
-  do_rhs();
+  par::run(team, false, rhs);
   out.rhs_initial = rhs_norms(f);
   out.err_initial = error_norms(f);
 
-  PipelineSync sync_lower(threads > 0 ? threads : 1);
-  PipelineSync sync_upper(threads > 0 ? threads : 1);
+  // One SSOR time step is the retry unit; u is the only cross-step state
+  // (rhs is rebuilt from u each attempt), so the checkpoint is just u.
+  fault::Checkpoint ckpt;
+  ckpt.add(f.u.data(), f.u.size() * sizeof(double));
+  fault::Steps steps(team, run.fused, ckpt);
 
-  // One SPMD body covers both threaded drivers: the sweep pipeline was
-  // already fused (barriers and point-to-point waits inside one dispatch);
-  // rhs_in_region additionally folds the rhs phase and the pipeline resets
-  // into the same region, taking LU to one dispatch per time step.  `nt` is
-  // the width actually running (smaller than `threads` after a degraded
-  // retry); the PipelineSync cells above nt simply stay idle.
-  auto step_body = [&](ParallelRegion& rg, int rank, int nt, bool rhs_in_region) {
-    const Range jr = partition(1, n - 1, rank, nt);
-    if (rhs_in_region) {
+  const double t0 = wtime();
+  for (int it = 0; it < prm.iterations; ++it) {
+    // Forked: an rhs dispatch, then one region for the sweeps and the add
+    // (2 dispatches per step).  Fused: all of it in one region, the rhs
+    // published by one more barrier.
+    steps.step(it, [&](auto& ex) {
       {
-        obs::ScopedTimer ot(r_rhs);
-        compute_rhs_planes(f, jr.lo, jr.hi);
+        obs::ScopedTimer ot(regions.rhs);
+        rhs(ex);
       }
-      if (rank == 0) {
-        sync_lower.reset();
-        sync_upper.reset();
-      }
-      rg.barrier();  // publishes the rhs planes and the pipeline resets
-    }
+      ex.single([&] { pre(ex.team()); });
+      ex.sync();  // publishes the rhs planes and the pre-step state
+      ex.region([&](auto& rx) {
+        const Range ir = partition(1, n - 1, rx.rank(), rx.size());
+        sweeps(rx, f, dt, ir);
+        obs::ScopedTimer ot(regions.add);
+        add_planes(f, tmp, ir.lo, ir.hi);
+      });
+    });
+  }
+  out.seconds = wtime() - t0;
+
+  par::run(team, false, rhs);
+  out.rhs_final = rhs_norms(f);
+  out.err_final = error_norms(f);
+  return out;
+}
+
+/// The pipelined LU: SSOR sweeps wavefront-ordered over i-planes, each rank
+/// owning a j-slab — the paper's LU signature, synchronization *inside* the
+/// loop over one grid dimension (point-to-point PipelineSync handoffs, one
+/// barrier between the lower and upper sweeps).  Phase timers run per rank,
+/// so LU/lower and LU/upper report per-rank pipeline skew.
+template <class P>
+AppOutput lu_run(const AppParams& prm, const par::Launch& run) {
+  const LuRegions regions;
+  const int width = run.threads > 0 ? run.threads : 1;
+  PipelineSync sync_lower(width);
+  PipelineSync sync_upper(width);
+  // Wavefront waits must unwind as RegionAborted when a fault kills the
+  // region mid-pipeline; point the spin loops at the team actually running
+  // this attempt (it changes after degradation).  Ranks above a degraded
+  // width leave their cells idle.
+  auto pre = [&](WorkerTeam* tm) {
+    sync_lower.reset();
+    sync_upper.reset();
+    sync_lower.set_abort_source(tm);
+    sync_upper.set_abort_source(tm);
+  };
+  auto sweeps = [&](auto& rx, Fields<P>& f, double dt, Range jr) {
+    const int rank = rx.rank();
+    const int nt = rx.size();
+    const long n = f.n;
     {
-      obs::ScopedTimer ot(r_lower);
+      obs::ScopedTimer ot(regions.lower);
       for (long i = 1; i < n - 1; ++i) {
         if (rank > 0) sync_lower.wait_for(rank - 1, i);
         for (long j = jr.lo; j < jr.hi; ++j)
@@ -177,9 +230,9 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
         sync_lower.post(rank, i);
       }
     }
-    rg.barrier();
+    rx.sync();
     {
-      obs::ScopedTimer ot(r_upper);
+      obs::ScopedTimer ot(regions.upper);
       for (long i = n - 2; i >= 1; --i) {
         const long step = (n - 2) - i;
         if (rank < nt - 1) sync_upper.wait_for(rank + 1, step);
@@ -188,255 +241,52 @@ AppOutput lu_run(const AppParams& prm, int threads, const TeamOptions& topts,
         sync_upper.post(rank, step);
       }
     }
-    rg.barrier();
-    obs::ScopedTimer ot(r_add);
-    for (long i = jr.lo; i < jr.hi; ++i)
-      for (long j = 1; j < n - 1; ++j)
-        for (long k = 1; k < n - 1; ++k)
-          for (int m = 0; m < kComps; ++m)
-            f.u(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
-                static_cast<std::size_t>(k), static_cast<std::size_t>(m)) +=
-                tmp * f.rhs(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
-                            static_cast<std::size_t>(k), static_cast<std::size_t>(m));
+    rx.sync();
   };
-
-  // One SSOR time step is the retry unit; u is the only cross-step state
-  // (rhs is rebuilt from u each attempt), so the checkpoint is just u.
-  fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(f.u.data(), f.u.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
-
-  const double t0 = wtime();
-  for (int it = 0; it < prm.iterations; ++it) {
-    if (team == nullptr) {
-      {
-        obs::ScopedTimer ot(r_rhs);
-        do_rhs();
-      }
-        {
-        obs::ScopedTimer ot(r_lower);
-        for (long i = 1; i < n - 1; ++i)
-          for (long j = 1; j < n - 1; ++j)
-            for (long k = 1; k < n - 1; ++k) relax_cell<kLower>(f, dt, i, j, k);
-      }
-      {
-        obs::ScopedTimer ot(r_upper);
-        for (long i = n - 2; i >= 1; --i)
-          for (long j = n - 2; j >= 1; --j)
-            for (long k = n - 2; k >= 1; --k) relax_cell<kUpper>(f, dt, i, j, k);
-      }
-      obs::ScopedTimer ot(r_add);
-      for (long i = 1; i < n - 1; ++i)
-        for (long j = 1; j < n - 1; ++j)
-          for (long k = 1; k < n - 1; ++k)
-            for (int m = 0; m < kComps; ++m)
-              f.u(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
-                  static_cast<std::size_t>(k), static_cast<std::size_t>(m)) +=
-                  tmp * f.rhs(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
-                              static_cast<std::size_t>(k), static_cast<std::size_t>(m));
-      continue;
-    }
-    steps->step(it, [&](WorkerTeam& tm, int nt) {
-      // Wavefront waits must unwind as RegionAborted when a fault kills the
-      // region mid-pipeline; point the spin loops at the team actually
-      // running this attempt (it changes after degradation).
-      sync_lower.set_abort_source(&tm);
-      sync_upper.set_abort_source(&tm);
-      if (topts.fused) {
-        // Fused: rhs + both pipelined sweeps + add in one dispatch per step.
-        spmd(tm, [&](ParallelRegion& rg, int rank) { step_body(rg, rank, nt, true); });
-      } else {
-        // Forked: a separate rhs dispatch, then the sweep region.  This is
-        // the paper's LU signature — synchronization *inside* the loop over
-        // one grid dimension, a software pipeline over i-planes with j-slabs
-        // per rank.  Phase timers run per rank inside the region, so
-        // LU/lower and LU/upper report per-rank pipeline skew.
-        {
-          obs::ScopedTimer ot(r_rhs);
-          tm.run([&](int rank) {
-            const Range r = partition(1, n - 1, rank, nt);
-            compute_rhs_planes(f, r.lo, r.hi);
-          });
-        }
-        sync_lower.reset();
-        sync_upper.reset();
-        spmd(tm, [&](ParallelRegion& rg, int rank) { step_body(rg, rank, nt, false); });
-      }
-    });
-  }
-  out.seconds = wtime() - t0;
-
-  do_rhs();
-  out.rhs_final = rhs_norms(f);
-  out.err_final = error_norms(f);
-  return out;
+  return lu_drive<P>(prm, run, regions, pre, sweeps);
 }
 
 /// The LU-HP variant (NPB ships it alongside the pipelined LU): sweeps run
 /// over hyperplanes i+j+k = l, whose cells are mutually independent, with a
 /// team barrier between consecutive hyperplanes instead of point-to-point
-/// pipelining.  Both orders are topological for the SSOR dependency DAG, so
-/// the results are bitwise identical to lu_run's — only the synchronization
-/// pattern (and hence scalability) differs.
+/// pipelining (~6n barriers per iteration versus the pipelined version's
+/// ~2n handoffs).  Both orders are topological for the SSOR dependency DAG,
+/// so the results are bitwise identical to lu_run's — only the
+/// synchronization pattern (and hence scalability) differs.
 template <class P>
-AppOutput lu_run_hp(const AppParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
-  // Team before the fields: under FirstTouch each rank commits the
-  // k-plane slabs it will sweep, instead of every page faulting in on
-  // the master during init_fields.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
-  // Loops here partition statically whatever the team's default schedule.
-  const mem::ScopedTeamPlacement placement(team, Schedule{});
-
-  Fields<P> f(prm.n);
-  init_fields(f);
-  const long n = prm.n;
-  const double dt = prm.dt;
-  const double tmp = 1.0 / (kOmega * (2.0 - kOmega));
-  const long hi = n - 2;  // interior indices 1..hi
-
-  auto do_rhs = [&] {
-    if (team == nullptr) {
-      compute_rhs_planes(f, 1, n - 1);
-    } else {
-      team->run([&](int rank) {
-        const Range r = partition(1, n - 1, rank, team->size());
-        compute_rhs_planes(f, r.lo, r.hi);
-      });
-    }
-  };
-
-  // Visits every cell of hyperplane i+j+k == l whose i lies in [ilo, ihi).
-  auto plane_cells = [&](long l, long ilo, long ihi, auto&& cell) {
-    const long imin = std::max(1L, l - 2 * hi);
-    const long imax = std::min(hi, l - 2);
-    for (long i = std::max(imin, ilo); i <= std::min(imax, ihi - 1); ++i) {
-      const long jmin = std::max(1L, l - i - hi);
-      const long jmax = std::min(hi, l - i - 1);
-      for (long j = jmin; j <= jmax; ++j) cell(i, j, l - i - j);
-    }
-  };
-
-  const obs::RegionId r_rhs = obs::region("LU/rhs");
-  const obs::RegionId r_lower = obs::region("LU/lower");
-  const obs::RegionId r_upper = obs::region("LU/upper");
-  const obs::RegionId r_add = obs::region("LU/add");
-
-  AppOutput out;
-  do_rhs();
-  out.rhs_initial = rhs_norms(f);
-  out.err_initial = error_norms(f);
-
-  // Threaded step body, aligned to the region API like lu_run's; with
-  // rhs_in_region the rhs phase joins the hyperplane sweeps in one dispatch.
-  // `nt` is the width actually running (smaller after a degraded retry).
-  auto step_body = [&](ParallelRegion& rg, int rank, int nt, bool rhs_in_region) {
-    const Range ir = partition(1, n - 1, rank, nt);
-    if (rhs_in_region) {
-      {
-        obs::ScopedTimer ot(r_rhs);
-        compute_rhs_planes(f, ir.lo, ir.hi);
+AppOutput lu_run_hp(const AppParams& prm, const par::Launch& run) {
+  const LuRegions regions;
+  auto sweeps = [&](auto& rx, Fields<P>& f, double dt, Range ir) {
+    const long hi = f.n - 2;  // interior indices 1..hi
+    // Visits every cell of hyperplane i+j+k == l whose i lies in ir.
+    auto plane_cells = [&](long l, auto&& cell) {
+      const long imin = std::max(1L, l - 2 * hi);
+      const long imax = std::min(hi, l - 2);
+      for (long i = std::max(imin, ir.lo); i <= std::min(imax, ir.hi - 1); ++i) {
+        const long jmin = std::max(1L, l - i - hi);
+        const long jmax = std::min(hi, l - i - 1);
+        for (long j = jmin; j <= jmax; ++j) cell(i, j, l - i - j);
       }
-      rg.barrier();
-    }
-    // One barrier per hyperplane per sweep: ~6n barriers per iteration
-    // versus the pipelined version's ~2n point-to-point handoffs.
+    };
     {
-      obs::ScopedTimer ot(r_lower);
+      obs::ScopedTimer ot(regions.lower);
       for (long l = 3; l <= 3 * hi; ++l) {
-        plane_cells(l, ir.lo, ir.hi,
-                    [&](long i, long j, long k) { relax_cell<kLower>(f, dt, i, j, k); });
-        rg.barrier();
+        plane_cells(l, [&](long i, long j, long k) { relax_cell<kLower>(f, dt, i, j, k); });
+        rx.sync();
       }
     }
-    {
-      obs::ScopedTimer ot(r_upper);
-      for (long l = 3 * hi; l >= 3; --l) {
-        plane_cells(l, ir.lo, ir.hi,
-                    [&](long i, long j, long k) { relax_cell<kUpper>(f, dt, i, j, k); });
-        rg.barrier();
-      }
+    obs::ScopedTimer ot(regions.upper);
+    for (long l = 3 * hi; l >= 3; --l) {
+      plane_cells(l, [&](long i, long j, long k) { relax_cell<kUpper>(f, dt, i, j, k); });
+      rx.sync();
     }
-    obs::ScopedTimer ot(r_add);
-    for (long i = ir.lo; i < ir.hi; ++i)
-      for (long j = 1; j < n - 1; ++j)
-        for (long k = 1; k < n - 1; ++k)
-          for (int m = 0; m < kComps; ++m)
-            f.u(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
-                static_cast<std::size_t>(k), static_cast<std::size_t>(m)) +=
-                tmp * f.rhs(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
-                            static_cast<std::size_t>(k), static_cast<std::size_t>(m));
   };
-
-  // Same retry unit and checkpoint as lu_run: one step, spanning just u.
-  fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(f.u.data(), f.u.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
-
-  const double t0 = wtime();
-  for (int it = 0; it < prm.iterations; ++it) {
-    if (team == nullptr) {
-      {
-        obs::ScopedTimer ot(r_rhs);
-        do_rhs();
-      }
-        {
-        obs::ScopedTimer ot(r_lower);
-        for (long l = 3; l <= 3 * hi; ++l)
-          plane_cells(l, 1, n - 1,
-                      [&](long i, long j, long k) { relax_cell<kLower>(f, dt, i, j, k); });
-      }
-      {
-        obs::ScopedTimer ot(r_upper);
-        for (long l = 3 * hi; l >= 3; --l)
-          plane_cells(l, 1, n - 1,
-                      [&](long i, long j, long k) { relax_cell<kUpper>(f, dt, i, j, k); });
-      }
-      obs::ScopedTimer ot(r_add);
-      for (long i = 1; i < n - 1; ++i)
-        for (long j = 1; j < n - 1; ++j)
-          for (long k = 1; k < n - 1; ++k)
-            for (int m = 0; m < kComps; ++m)
-              f.u(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
-                  static_cast<std::size_t>(k), static_cast<std::size_t>(m)) +=
-                  tmp * f.rhs(static_cast<std::size_t>(i), static_cast<std::size_t>(j),
-                              static_cast<std::size_t>(k), static_cast<std::size_t>(m));
-      continue;
-    }
-    steps->step(it, [&](WorkerTeam& tm, int nt) {
-      if (topts.fused) {
-        spmd(tm, [&](ParallelRegion& rg, int rank) { step_body(rg, rank, nt, true); });
-      } else {
-        {
-          obs::ScopedTimer ot(r_rhs);
-          tm.run([&](int rank) {
-            const Range r = partition(1, n - 1, rank, nt);
-            compute_rhs_planes(f, r.lo, r.hi);
-          });
-        }
-        spmd(tm, [&](ParallelRegion& rg, int rank) { step_body(rg, rank, nt, false); });
-      }
-    });
-  }
-  out.seconds = wtime() - t0;
-
-  do_rhs();
-  out.rhs_final = rhs_norms(f);
-  out.err_final = error_norms(f);
-  return out;
+  return lu_drive<P>(prm, run, regions, [](WorkerTeam*) {}, sweeps);
 }
 
-extern template AppOutput lu_run<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput lu_run<Checked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput lu_run_hp<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput lu_run_hp<Checked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
+extern template AppOutput lu_run<Unchecked>(const AppParams&, const par::Launch&);
+extern template AppOutput lu_run<Checked>(const AppParams&, const par::Launch&);
+extern template AppOutput lu_run_hp<Unchecked>(const AppParams&, const par::Launch&);
+extern template AppOutput lu_run_hp<Checked>(const AppParams&, const par::Launch&);
 
 }  // namespace npb::lu_detail

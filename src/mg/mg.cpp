@@ -5,8 +5,6 @@
 #include "common/reference.hpp"
 #include "common/verify.hpp"
 #include "mg/mg_impl.hpp"
-#include "fault/fault.hpp"
-#include "mem/mem.hpp"
 
 namespace npb {
 
@@ -24,16 +22,10 @@ MgParams mg_params(ProblemClass cls) noexcept {
 RunResult run_mg(const RunConfig& cfg) {
   using namespace mg_detail;
   const MgParams p = mg_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("MG", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
-  const MgOutput o = cfg.mode == Mode::Java
-                         ? mg_run<Checked>(p, cfg.threads, topts, cfg.team)
-                         : cfg.mode == Mode::Vec
-                               ? mg_run<Unchecked, true>(p, cfg.threads, topts, cfg.team)
-                               : mg_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+  const MgOutput o = run_kernel("MG", cfg, [&](auto m, const par::Launch& run) {
+    using M = decltype(m);
+    return mg_run<typename M::Policy, M::vec>(p, run);
+  });
 
   RunResult r;
   r.name = "MG";

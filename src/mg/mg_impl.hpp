@@ -9,7 +9,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "array/array.hpp"
@@ -19,8 +18,7 @@
 #include "mem/mem.hpp"
 #include "mg/mg.hpp"
 #include "obs/obs.hpp"
-#include "par/parallel_for.hpp"
-#include "par/region.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 #include "simd/simd.hpp"
 
@@ -304,42 +302,16 @@ void zran3(Grid<P>& v, long n) {
   comm3(v, n);
 }
 
-/// Executes body(lo3, hi3) over interior planes [1, n], either inline or
-/// fork-joined over the team — the MG operators' shared parallel shape.
-/// Every operator writes disjoint output planes, so any schedule yields the
-/// same grid bit-for-bit; on the coarse levels (n < nranks) Dynamic/Guided
-/// let idle ranks pick up planes instead of sitting on empty static blocks.
-template <class F>
-void over_planes(WorkerTeam* team, Schedule sched, long n, const F& body) {
-  if (team == nullptr) {
-    body(1, n + 1);
-    return;
-  }
-  if (sched.kind == Schedule::Kind::Static) {
-    team->run([&](int rank) {
-      const Range r = partition(1, n + 1, rank, team->size());
-      body(r.lo, r.hi);
-      detail::record_loop_iters(rank, r.size());
-    });
-    return;
-  }
-  ChunkQueue queue;
-  queue.reset(1, n + 1, sched, team->size());
-  team->run([&](int rank) { claim_chunks(queue, rank, body); });
-}
-
 template <class P, bool V = false>
-MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+MgOutput mg_run(const MgParams& prm, const par::Launch& run) {
   const int lt = prm.log2_n;
   const long n = 1L << lt;
 
   // Team before grids: a FirstTouch placement then commits every level's
   // pages plane-slab by plane-slab on the ranks that will smooth them.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
-  const Schedule sched = topts.schedule;
+  TeamRef team_ref(run.threads, run.topts, run.pooled);
+  WorkerTeam* team = team_ref.get();
+  const Schedule sched = run.topts.schedule;
   const mem::ScopedTeamPlacement placement(team, sched);
 
   // Level l in [1, lt] has interior 2^l; index 0 unused.
@@ -360,21 +332,29 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts,
   const obs::RegionId r_interp = obs::region("MG/interp");
   const obs::RegionId r_comm3 = obs::region("MG/comm3");
 
-  // The whole V-cycle is written once, generic over the execution shape:
-  // `planes(nl, body)` runs body(lo3, hi3) across the interior planes of an
-  // n=nl level and synchronizes before returning; `master(fn)` runs fn once
-  // (ghost exchanges, coarse zero fills) with its writes published to every
-  // rank before the next phase.  The forked shape maps these onto
-  // over_planes / a plain call; the fused shape onto ParallelRegion::ranges
-  // / a rank-0 section plus barrier — same partitioning either way, so the
-  // grids are bit-identical.
-  auto resid_level = [&](int l, const Grid<P>& vv, auto&& planes, auto&& master) {
+  // The whole V-cycle is written once against an execution shape `ex`
+  // (par/exec.hpp): planes(ex, nl, body) runs body(lo3, hi3) across the
+  // interior planes [1, nl] of a level and synchronizes before returning;
+  // master(ex, fn) runs fn once (ghost exchanges, coarse zero fills) with
+  // its writes published to every rank before the next phase.  Every
+  // operator writes disjoint output planes, so any schedule yields the same
+  // grid bit-for-bit; on the coarse levels (n < nranks) Dynamic/Guided let
+  // idle ranks pick up planes instead of sitting on empty static blocks.
+  auto planes = [&](auto& ex, long nl, const auto& body) {
+    ex.ranges(sched, 1, nl + 1, [&](int, long lo, long hi) { body(lo, hi); });
+    ex.sync();
+  };
+  auto master = [](auto& ex, const auto& fn) {
+    ex.single(fn);
+    ex.sync();
+  };
+  auto resid_level = [&](auto& ex, int l, const Grid<P>& vv) {
     const long nl = 1L << l;
     auto& ul = u[static_cast<std::size_t>(l)];
     auto& rl = r[static_cast<std::size_t>(l)];
     {
       obs::ScopedTimer ot(r_resid);
-      planes(nl, [&](long lo, long hi) {
+      planes(ex, nl, [&](long lo, long hi) {
         if constexpr (V)
           stencil27_vec<P, StencilOp::Resid>(ul, &vv, rl, kA, nl, lo, hi);
         else
@@ -382,15 +362,15 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts,
       });
     }
     obs::ScopedTimer ot(r_comm3);
-    master([&] { comm3(rl, nl); });
+    master(ex, [&] { comm3(rl, nl); });
   };
-  auto smooth_level = [&](int l, auto&& planes, auto&& master) {
+  auto smooth_level = [&](auto& ex, int l) {
     const long nl = 1L << l;
     auto& ul = u[static_cast<std::size_t>(l)];
     auto& rl = r[static_cast<std::size_t>(l)];
     {
       obs::ScopedTimer ot(r_smooth);
-      planes(nl, [&](long lo, long hi) {
+      planes(ex, nl, [&](long lo, long hi) {
         if constexpr (V)
           stencil27_vec<P, StencilOp::Apply>(rl, nullptr, ul, kS, nl, lo, hi);
         else
@@ -398,130 +378,93 @@ MgOutput mg_run(const MgParams& prm, int threads, const TeamOptions& topts,
       });
     }
     obs::ScopedTimer ot(r_comm3);
-    master([&] { comm3(ul, nl); });
+    master(ex, [&] { comm3(ul, nl); });
   };
 
   // --- V-cycle (NPB mg3P) ---
-  auto vcycle = [&](auto&& planes, auto&& master) {
+  auto vcycle = [&](auto& ex) {
     // Down-leg: restrict the residual to the coarsest level.
     for (int l = lt; l >= 2; --l) {
       const long nc = 1L << (l - 1);
       {
         obs::ScopedTimer ot(r_rprj3);
-        planes(nc, [&](long lo, long hi) {
+        planes(ex, nc, [&](long lo, long hi) {
           rprj3(r[static_cast<std::size_t>(l)], r[static_cast<std::size_t>(l - 1)], nc,
                 lo, hi);
         });
       }
       obs::ScopedTimer ot(r_comm3);
-      master([&] { comm3(r[static_cast<std::size_t>(l - 1)], nc); });
+      master(ex, [&] { comm3(r[static_cast<std::size_t>(l - 1)], nc); });
     }
     // Coarsest: one smoothing pass from a zero guess.
-    master([&] { u[1].fill(0.0); });
-    smooth_level(1, planes, master);
+    master(ex, [&] { u[1].fill(0.0); });
+    smooth_level(ex, 1);
     // Up-leg.
     for (int l = 2; l < lt; ++l) {
       const long nl = 1L << l;
-      master([&] { u[static_cast<std::size_t>(l)].fill(0.0); });
+      master(ex, [&] { u[static_cast<std::size_t>(l)].fill(0.0); });
       {
         obs::ScopedTimer ot(r_interp);
-        planes(nl, [&](long lo, long hi) {
+        planes(ex, nl, [&](long lo, long hi) {
           interp(u[static_cast<std::size_t>(l - 1)], u[static_cast<std::size_t>(l)], nl,
                  lo, hi);
         });
       }
       {
         obs::ScopedTimer ot(r_comm3);
-        master([&] { comm3(u[static_cast<std::size_t>(l)], nl); });
+        master(ex, [&] { comm3(u[static_cast<std::size_t>(l)], nl); });
       }
-      resid_level(l, r[static_cast<std::size_t>(l)], planes, master);
+      resid_level(ex, l, r[static_cast<std::size_t>(l)]);
       // NOTE: resid_level overwrites r_l with r_l - A u_l via the vv alias.
-      smooth_level(l, planes, master);
+      smooth_level(ex, l);
     }
     // Finest level: add the correction, refresh the residual, smooth.
     {
       obs::ScopedTimer ot(r_interp);
-      planes(n, [&](long lo, long hi) {
+      planes(ex, n, [&](long lo, long hi) {
         interp(u[static_cast<std::size_t>(lt - 1)], u[static_cast<std::size_t>(lt)], n,
                lo, hi);
       });
     }
     {
       obs::ScopedTimer ot(r_comm3);
-      master([&] { comm3(u[static_cast<std::size_t>(lt)], n); });
+      master(ex, [&] { comm3(u[static_cast<std::size_t>(lt)], n); });
     }
-    resid_level(lt, v, planes, master);
-    smooth_level(lt, planes, master);
-    resid_level(lt, v, planes, master);
+    resid_level(ex, lt, v);
+    smooth_level(ex, lt);
+    resid_level(ex, lt, v);
   };
-
-  // Forked / serial execution shape: one dispatch per operator.
-  auto planes_forked = [&](long nl, auto&& body) {
-    over_planes(team, sched, nl, body);
-  };
-  auto master_forked = [&](auto&& fn) { fn(); };
 
   MgOutput out;
   const double t0 = wtime();
 
   // r = v - A u  with u = 0 initially.
   u[static_cast<std::size_t>(lt)].fill(0.0);
-  resid_level(lt, v, planes_forked, master_forked);
+  par::run(team, false, [&](auto& ex) { resid_level(ex, lt, v); });
   out.rnm2_initial = l2norm(r[static_cast<std::size_t>(lt)], n);
 
   // One V-cycle is the retry unit.  The cycle reads exactly two grids that
   // earlier cycles produced — the finest-level solution u[lt] (accumulated
   // by interp) and its residual r[lt] (the down-leg's input) — while every
   // coarser level is overwritten on the way down/up, so those two spans are
-  // the whole checkpoint.
+  // the whole checkpoint.  Forked, every operator is one dispatch; fused,
+  // the whole V-cycle is one region and the serial ghost exchanges become
+  // rank-0 sections between barriers.
   fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(u[static_cast<std::size_t>(lt)].data(),
-             u[static_cast<std::size_t>(lt)].size() * sizeof(double));
-    ckpt.add(r[static_cast<std::size_t>(lt)].data(),
-             r[static_cast<std::size_t>(lt)].size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
-
-  for (int iter = 1; iter <= prm.iterations; ++iter) {
-    if (team == nullptr) {
-      vcycle(planes_forked, master_forked);
-      continue;
-    }
-    steps->step(iter, [&](WorkerTeam& tm, int) {
-      if (topts.fused) {
-        // Fused: the whole V-cycle — every level's restrict, smooth,
-        // interpolate and residual — runs resident in one dispatch per
-        // iteration; serial ghost exchanges become rank-0 sections between
-        // barriers.
-        spmd(tm, [&](ParallelRegion& rg, int rank) {
-          auto planes = [&](long nl, auto&& body) {
-            rg.ranges(rank, sched, 1, nl + 1,
-                      [&](int, long lo, long hi) { body(lo, hi); });
-          };
-          auto master = [&](auto&& fn) {
-            if (rank == 0) fn();
-            rg.barrier();
-          };
-          vcycle(planes, master);
-        });
-      } else {
-        auto planes_step = [&](long nl, auto&& body) {
-          over_planes(&tm, sched, nl, body);
-        };
-        vcycle(planes_step, master_forked);
-      }
-    });
-  }
+  ckpt.add(u[static_cast<std::size_t>(lt)].data(),
+           u[static_cast<std::size_t>(lt)].size() * sizeof(double));
+  ckpt.add(r[static_cast<std::size_t>(lt)].data(),
+           r[static_cast<std::size_t>(lt)].size() * sizeof(double));
+  fault::Steps steps(team, run.fused, ckpt);
+  for (int iter = 1; iter <= prm.iterations; ++iter) steps.step(iter, vcycle);
 
   out.rnm2_final = l2norm(r[static_cast<std::size_t>(lt)], n);
   out.seconds = wtime() - t0;
   return out;
 }
 
-extern template MgOutput mg_run<Unchecked>(const MgParams&, int, const TeamOptions&, WorkerTeam*);
-extern template MgOutput mg_run<Checked>(const MgParams&, int, const TeamOptions&, WorkerTeam*);
-extern template MgOutput mg_run<Unchecked, true>(const MgParams&, int, const TeamOptions&, WorkerTeam*);
+extern template MgOutput mg_run<Unchecked>(const MgParams&, const par::Launch&);
+extern template MgOutput mg_run<Checked>(const MgParams&, const par::Launch&);
+extern template MgOutput mg_run<Unchecked, true>(const MgParams&, const par::Launch&);
 
 }  // namespace npb::mg_detail

@@ -1,17 +1,22 @@
 #pragma once
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "array/policies.hpp"
 #include "ckpt/ckpt.hpp"
 #include "ckpt/options.hpp"
 #include "common/classes.hpp"
 #include "common/mode.hpp"
+#include "fault/fault.hpp"
 #include "fault/options.hpp"
+#include "mem/mem.hpp"
 #include "mem/options.hpp"
 #include "msg/options.hpp"
 #include "obs/obs.hpp"
 #include "par/barrier.hpp"
+#include "par/exec.hpp"
 #include "par/schedule.hpp"
 #include "par/team.hpp"
 
@@ -81,8 +86,7 @@ struct RunConfig {
 /// where they use a schedule themselves (first-touch placement).
 inline TeamOptions team_options(const RunConfig& cfg) {
   return TeamOptions{cfg.barrier, cfg.warmup_spins, cfg.schedule,
-                     cfg.fused,   cfg.fault.watchdog_ms, cfg.mode,
-                     cfg.runtime};
+                     cfg.fault.watchdog_ms, cfg.runtime};
 }
 
 /// The durable-checkpoint identity of one run: everything a --resume must
@@ -118,5 +122,34 @@ struct RunResult {
   /// result pipes and merged here so one report row carries every worker.
   std::vector<obs::ShardSnapshot> shards;
 };
+
+/// A run's kernel mode as a compile-time tag, so a wrapper names its
+/// per-mode instantiation once: java runs the bounds-checked arrays, native
+/// and vec the unchecked ones, and `vec` selects a driver's SIMD kernels
+/// (benchmarks without any run their native instantiation under vec).
+template <Mode M>
+struct ModeTag {
+  static constexpr bool vec = M == Mode::Vec;
+  using Policy = std::conditional_t<M == Mode::Java, Checked, Unchecked>;
+};
+
+/// The prologue every NPB run wrapper shares: installs the run's fault,
+/// checkpoint and memory scopes for the span of the kernel, describes where
+/// it runs (par::Launch: width, fused or forked steps, team options, pooled
+/// team) and calls kernel(ModeTag<mode>{}, launch) for the config's mode.
+/// `name` is the checkpoint identity (see ckpt_meta).  Result building and
+/// verification stay with the wrapper.
+template <class Kernel>
+auto run_kernel(const char* name, const RunConfig& cfg, const Kernel& kernel) {
+  const fault::ScopedFaultSession fault_scope(cfg.fault);
+  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta(name, cfg), cfg.ckpt);
+  const mem::ScopedMemConfig mem_scope(cfg.mem);
+  const par::Launch launch{cfg.threads, cfg.fused, team_options(cfg), cfg.team};
+  switch (cfg.mode) {
+    case Mode::Java: return kernel(ModeTag<Mode::Java>{}, launch);
+    case Mode::Vec: return kernel(ModeTag<Mode::Vec>{}, launch);
+    default: return kernel(ModeTag<Mode::Native>{}, launch);
+  }
+}
 
 }  // namespace npb

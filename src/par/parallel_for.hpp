@@ -1,37 +1,47 @@
 #pragma once
 
-#include <atomic>
-#include <vector>
+// Forked parallel loops on a WorkerTeam: one fork/join dispatch per call,
+// the paper's master-workers model.  These are the standalone entry points
+// (tests, the irregular suite, bench_ablation_schedule); they are the
+// par::Forked execution shape (par/exec.hpp) — same per-rank loop
+// (detail::run_share) and ordered combine (detail::combine_ordered) as the
+// fused in-region collectives — so a loop or reduction gives the same
+// result here as inside a benchmark step.
 
-#include "par/partition.hpp"
+#include "par/exec.hpp"
 #include "par/schedule.hpp"
 #include "par/team.hpp"
 
 namespace npb {
 
-/// Runs body(i) for i in [lo, hi) under an explicit loop schedule.  Static
-/// is the paper's block partition (one contiguous slab per rank); Dynamic
-/// and Guided deal chunks from a shared atomic cursor so ranks that finish
-/// early keep working — the knob the paper's section 5.2 load-imbalance
-/// discussion lacks.  Every variant records per-rank iteration counts under
-/// team/loop_iters.
+/// Runs body(rank, lo_r, hi_r) per assigned range under an explicit
+/// schedule — used when the body wants to iterate slabs itself (stencils,
+/// solves, seed-skipping generators).  Static is the paper's block
+/// partition (one contiguous slab per rank); Dynamic and Guided deal chunks
+/// from a shared atomic cursor so ranks that finish early keep working —
+/// the knob the paper's section 5.2 load-imbalance discussion lacks.  Under
+/// Static the body runs exactly once per rank with its block; under
+/// Dynamic/Guided it runs once per claimed chunk, possibly several times per
+/// rank, so bodies must not assume one contiguous slab per rank.  Every
+/// variant records per-rank iteration counts under team/loop_iters.
+template <class Body>
+void parallel_ranges(WorkerTeam& team, Schedule sched, long lo, long hi,
+                     const Body& body) {
+  par::Forked(team).ranges(sched, lo, hi, body);
+}
+
+/// Runs body(rank, lo_r, hi_r) under the team's default schedule.
+template <class Body>
+void parallel_ranges(WorkerTeam& team, long lo, long hi, const Body& body) {
+  parallel_ranges(team, team.schedule(), lo, hi, body);
+}
+
+/// Runs body(i) for i in [lo, hi) under an explicit loop schedule.
 template <class Body>
 void parallel_for(WorkerTeam& team, Schedule sched, long lo, long hi,
                   const Body& body) {
-  if (sched.kind == Schedule::Kind::Static) {
-    team.run([&](int rank) {
-      const Range r = partition(lo, hi, rank, team.size());
-      for (long i = r.lo; i < r.hi; ++i) body(i);
-      detail::record_loop_iters(rank, r.size());
-    });
-    return;
-  }
-  ChunkQueue queue;
-  queue.reset(lo, hi, sched, team.size());
-  team.run([&](int rank) {
-    claim_chunks(queue, rank, [&](long clo, long chi) {
-      for (long i = clo; i < chi; ++i) body(i);
-    });
+  parallel_ranges(team, sched, lo, hi, [&](int, long clo, long chi) {
+    for (long i = clo; i < chi; ++i) body(i);
   });
 }
 
@@ -41,42 +51,11 @@ void parallel_for(WorkerTeam& team, long lo, long hi, const Body& body) {
   parallel_for(team, team.schedule(), lo, hi, body);
 }
 
-/// Runs body(rank, lo_r, hi_r) per assigned range under an explicit
-/// schedule — used when the body wants to iterate slabs itself (stencils,
-/// solves, seed-skipping generators).  Under Static the body runs exactly
-/// once per rank with its block; under Dynamic/Guided it runs once per
-/// claimed chunk, possibly several times per rank, so bodies must not assume
-/// one contiguous slab per rank.
-template <class Body>
-void parallel_ranges(WorkerTeam& team, Schedule sched, long lo, long hi,
-                     const Body& body) {
-  if (sched.kind == Schedule::Kind::Static) {
-    team.run([&](int rank) {
-      const Range r = partition(lo, hi, rank, team.size());
-      body(rank, r.lo, r.hi);
-      detail::record_loop_iters(rank, r.size());
-    });
-    return;
-  }
-  ChunkQueue queue;
-  queue.reset(lo, hi, sched, team.size());
-  team.run([&](int rank) {
-    claim_chunks(queue, rank,
-                 [&](long clo, long chi) { body(rank, clo, chi); });
-  });
-}
-
-/// Runs body(rank, lo_r, hi_r) under the team's default schedule.
-template <class Body>
-void parallel_ranges(WorkerTeam& team, long lo, long hi, const Body& body) {
-  parallel_ranges(team, team.schedule(), lo, hi, body);
-}
-
 /// Sum-reduction over [lo, hi), deterministic for a fixed (schedule, thread
 /// count) — bit-identical across repeated runs, whatever the claim
 /// interleaving:
 ///   Static   per-rank partials in the team's padded scratch, combined in
-///            rank order (the legacy path, allocation-free).
+///            rank order (allocation-free).
 ///   Dynamic/ per-chunk partials combined in chunk order.  Chunk boundaries
 ///   Guided   are a pure function of the claim sequence (schedule_chunks),
 ///            and each chunk is summed serially by whichever rank claims it,
@@ -87,44 +66,12 @@ void parallel_ranges(WorkerTeam& team, long lo, long hi, const Body& body) {
 template <class Body>
 double parallel_reduce_sum(WorkerTeam& team, Schedule sched, long lo, long hi,
                            const Body& body) {
-  // Debug-checked: the team's reduction scratch admits one reduction at a
-  // time (see ReduceScratchGuard).
-  const ReduceScratchGuard guard(team);
-  if (sched.kind == Schedule::Kind::Static) {
-    detail::PaddedDouble* partial = team.reduce_scratch();
-    team.run([&](int rank) {
-      const Range r = partition(lo, hi, rank, team.size());
-      double s = 0.0;
-      for (long i = r.lo; i < r.hi; ++i) s += body(i);
-      // The Reduce injection site of the forked rank-ordered combine.
-      partial[rank].v = fault::poison(rank, s);
-      detail::record_loop_iters(rank, r.size());
-    });
-    double total = 0.0;
-    for (int t = 0; t < team.size(); ++t) total += partial[t].v;
-    return total;
-  }
-  std::vector<Range>& chunks = team.chunk_scratch();
-  schedule_chunks_into(chunks, lo, hi, sched, team.size());
-  std::vector<double>& partial = team.partial_scratch();
-  partial.assign(chunks.size(), 0.0);
-  std::atomic<std::size_t> next{0};
-  team.run([&](int rank) {
-    long iters = 0;
-    for (;;) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks.size()) break;
-      double s = 0.0;
-      for (long i = chunks[c].lo; i < chunks[c].hi; ++i) s += body(i);
-      // The Reduce injection site of the forked chunk-ordered combine.
-      partial[c] = fault::poison(rank, s);
-      iters += chunks[c].size();
-    }
-    detail::record_loop_iters(rank, iters);
-  });
-  double total = 0.0;
-  for (const double p : partial) total += p;  // chunk order: deterministic
-  return total;
+  return par::Forked(team).reduce<double>(
+      sched, lo, hi, [&](int, long clo, long chi) {
+        double s = 0.0;
+        for (long i = clo; i < chi; ++i) s += body(i);
+        return s;
+      });
 }
 
 /// Sum-reduction under the team's default schedule.

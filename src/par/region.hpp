@@ -6,8 +6,11 @@
 // into one WorkerTeam::run() replaces those round trips with in-region team
 // barriers, which is how the hand-parallelized NPB codes enlarge their
 // parallel regions.  spmd(team, fn) enters one region; ParallelRegion then
-// offers rank-callable variants of parallel_for / parallel_ranges /
-// parallel_reduce_sum that run between barriers instead of fresh dispatches:
+// offers the rank-callable collectives that run between barriers instead of
+// fresh dispatches.  Benchmark drivers reach them through the par::Fused
+// execution shape (par/exec.hpp), which writes a step once for the serial,
+// forked and fused shapes; the methods below are the region-level API that
+// shape and the runtime tests share:
 //
 //   spmd(team, [&](ParallelRegion& rg, int rank) {
 //     rg.for_each(rank, sched, 0, n, [&](long i) { ... });   // + barrier
@@ -16,20 +19,24 @@
 //   });
 //
 // Every ParallelRegion method is a *collective*: all ranks of the region
-// must call it with the same arguments, in the same order.  Scheduled
-// (Dynamic/Guided) loops re-arm the region's ChunkQueue on rank 0 and
-// publish it with a barrier; reductions combine exactly like the forked
-// path — per-rank partials in rank order under Static, per-chunk partials
-// in chunk order under Dynamic/Guided — so results are bit-identical to
-// parallel_reduce_sum for a fixed schedule and thread count.
+// must call it with the same arguments, in the same order.  The per-rank
+// loop (detail::run_share) and the ordered combine (detail::combine_ordered)
+// are the ones parallel_for / parallel_reduce_sum and par::Forked use, so a
+// region reduction adds the same partials in the same order as the forked
+// one: per-rank partials in rank order under Static, per-chunk partials in
+// chunk order under Dynamic/Guided — bit-identical for a fixed schedule and
+// thread count.  Scheduled (Dynamic/Guided) passes re-arm the region's
+// ChunkQueue on rank 0 and publish it with a barrier.
 //
 // If a region body throws between barriers, the team poisons the barrier so
 // sibling ranks unwind (see RegionAborted) and the master rethrows the
 // original exception from spmd(); the team remains reusable.
 
+#include <any>
 #include <atomic>
 #include <cstddef>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/wtime.hpp"
@@ -54,102 +61,106 @@ class ParallelRegion {
   /// In-region team barrier (collective).
   void barrier() { team_.barrier(); }
 
-  /// In-region parallel_for: body(i) over [lo, hi).  Collective; closes
-  /// with a barrier, so every rank sees the loop's writes on return.
+  /// This rank's share of one loop pass over [lo, hi): body(rank, lo_r,
+  /// hi_r) per assigned block (Static: once per rank) or claimed chunk
+  /// (Dynamic/Guided: possibly several per rank).  Collective, with no
+  /// closing barrier — the caller separates dependent phases with barrier().
+  /// A scheduled pass re-arms the region's queue, so every rank must be past
+  /// the previous scheduled pass (a barrier in between) before it starts.
   template <class Body>
-  void for_each(int rank, Schedule sched, long lo, long hi, const Body& body) {
+  void share(int rank, Schedule sched, long lo, long hi, const Body& body) {
     fault::on_site(fault::Site::Collective, rank);
-    if (sched.kind == Schedule::Kind::Static) {
-      const Range r = partition(lo, hi, rank, team_.size());
-      for (long i = r.lo; i < r.hi; ++i) body(i);
-      detail::record_loop_iters(rank, r.size());
-      team_.barrier();
-      return;
-    }
-    arm(rank, lo, hi, sched);
-    claim_chunks(queue_, rank, [&](long clo, long chi) {
-      for (long i = clo; i < chi; ++i) body(i);
-    });
-    team_.barrier();
+    if (sched.kind != Schedule::Kind::Static) arm(rank, lo, hi, sched);
+    detail::run_share(queue_, sched, lo, hi, rank, team_.size(),
+                      [&](long clo, long chi) { body(rank, clo, chi); });
   }
 
-  /// In-region parallel_ranges: body(rank, lo_r, hi_r) per assigned block
-  /// (Static: once per rank) or claimed chunk (Dynamic/Guided: possibly
-  /// several per rank).  Collective; closes with a barrier.
+  /// In-region parallel_ranges: share() closed by a barrier, so every rank
+  /// sees the loop's writes on return.  Collective.
   template <class Body>
   void ranges(int rank, Schedule sched, long lo, long hi, const Body& body) {
-    fault::on_site(fault::Site::Collective, rank);
-    if (sched.kind == Schedule::Kind::Static) {
-      const Range r = partition(lo, hi, rank, team_.size());
-      body(rank, r.lo, r.hi);
-      detail::record_loop_iters(rank, r.size());
-      team_.barrier();
-      return;
-    }
-    arm(rank, lo, hi, sched);
-    claim_chunks(queue_, rank,
-                 [&](long clo, long chi) { body(rank, clo, chi); });
+    share(rank, sched, lo, hi, body);
     team_.barrier();
   }
 
-  /// In-region parallel_reduce_sum: sum of body(i) over [lo, hi), returned
-  /// on every rank.  Collective.  Combine order matches the forked path
-  /// exactly (rank order under Static, chunk order under Dynamic/Guided),
-  /// so the result is bit-identical to parallel_reduce_sum for a fixed
-  /// schedule and thread count.
+  /// In-region parallel_for: body(i) over [lo, hi).  Collective; closes
+  /// with a barrier.
   template <class Body>
-  double reduce_sum(int rank, Schedule sched, long lo, long hi,
-                    const Body& body) {
+  void for_each(int rank, Schedule sched, long lo, long hi, const Body& body) {
+    ranges(rank, sched, lo, hi, [&](int, long clo, long chi) {
+      for (long i = clo; i < chi; ++i) body(i);
+    });
+  }
+
+  /// Ordered reduction of the partials body(rank, lo_r, hi_r) -> T over
+  /// [lo, hi), summed with `+=` from T{} and returned on every rank.
+  /// Collective.  Double partials under Static take one partial per rank
+  /// (its partition block) through reduce_partials; otherwise rank 0 arms
+  /// one partial slot per chunk of schedule_chunks (under Static: the
+  /// non-empty partition blocks, in rank order), ranks claim chunks, and the
+  /// slots combine in chunk order.
+  template <class T, class Body>
+  T reduce(int rank, Schedule sched, long lo, long hi, const Body& body) {
     fault::on_site(fault::Site::Collective, rank);
-    if (sched.kind == Schedule::Kind::Static) {
-      const Range r = partition(lo, hi, rank, team_.size());
-      double s = 0.0;
-      for (long i = r.lo; i < r.hi; ++i) s += body(i);
-      detail::record_loop_iters(rank, r.size());
-      return reduce_partials(rank, s);
+    if constexpr (std::is_same_v<T, double>) {
+      if (sched.kind == Schedule::Kind::Static) {
+        const Range r = partition(lo, hi, rank, team_.size());
+        const double mine = body(rank, r.lo, r.hi);
+        detail::record_loop_iters(rank, r.size());
+        return reduce_partials(rank, mine);
+      }
     }
     std::vector<Range>& chunks = team_.chunk_scratch();
-    std::vector<double>& partial = team_.partial_scratch();
     std::optional<ReduceScratchGuard> guard;
     if (rank == 0) {
       guard.emplace(team_);
       schedule_chunks_into(chunks, lo, hi, sched, team_.size());
-      partial.assign(chunks.size(), 0.0);
+      if constexpr (std::is_same_v<T, double>)
+        team_.partial_scratch().assign(chunks.size(), 0.0);
+      else
+        slots_.emplace<std::vector<T>>(chunks.size());
       cursor_.store(0, std::memory_order_relaxed);
     }
     team_.barrier();  // publishes the chunk list, partials, and cursor
-    long iters = 0;
-    for (;;) {
-      const std::size_t c = cursor_.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks.size()) break;
-      double s = 0.0;
-      for (long i = chunks[c].lo; i < chunks[c].hi; ++i) s += body(i);
-      // The Reduce injection site: a nan-poison spec corrupts this rank's
-      // chunk partial, exactly the failure a retried step must wash out.
-      partial[c] = fault::poison(rank, s);
-      iters += chunks[c].size();
-    }
-    detail::record_loop_iters(rank, iters);
+    std::vector<T>* partial;
+    if constexpr (std::is_same_v<T, double>)
+      partial = &team_.partial_scratch();
+    else
+      partial = std::any_cast<std::vector<T>>(&slots_);
+    detail::claim_partials<T>(cursor_, chunks, *partial, rank, body);
     team_.barrier();  // all partials written
-    double total = 0.0;
-    for (const double p : partial) total += p;  // chunk order: deterministic
+    const T total = detail::combine_ordered<T>(
+        partial->size(), [&](std::size_t c) -> const T& { return (*partial)[c]; });
     team_.barrier();  // all ranks done reading before scratch is reused
     return total;
   }
 
+  /// In-region parallel_reduce_sum: sum of body(i) over [lo, hi), returned
+  /// on every rank.  Collective; bit-identical to parallel_reduce_sum for a
+  /// fixed schedule and thread count.
+  template <class Body>
+  double reduce_sum(int rank, Schedule sched, long lo, long hi,
+                    const Body& body) {
+    return reduce<double>(rank, sched, lo, hi, [&](int, long clo, long chi) {
+      double s = 0.0;
+      for (long i = clo; i < chi; ++i) s += body(i);
+      return s;
+    });
+  }
+
   /// Low-level rank-ordered combine of one double per rank through the
   /// team's padded scratch; returns the sum on every rank.  Collective.
-  /// This is the deterministic dot-product primitive CG's resident loop
-  /// uses: identical addend order to the forked Static reduction.
+  /// Identical addend order to the forked Static reduction.
   double reduce_partials(int rank, double mine) {
     detail::PaddedDouble* partial = team_.reduce_scratch();
     std::optional<ReduceScratchGuard> guard;
     if (rank == 0) guard.emplace(team_);
     // The Reduce injection site of the rank-ordered combine (nan-poison).
-    partial[rank].v = fault::poison(rank, mine);
+    partial[rank].v = detail::poison_partial(rank, mine);
     team_.barrier();  // all partials written
-    double total = 0.0;
-    for (int t = 0; t < team_.size(); ++t) total += partial[t].v;
+    const double total = detail::combine_ordered<double>(
+        static_cast<std::size_t>(team_.size()),
+        [&](std::size_t t) { return partial[t].v; });
     team_.barrier();  // all ranks done reading before scratch is reused
     return total;
   }
@@ -221,8 +232,8 @@ class ParallelRegion {
   }
 
   /// Re-arms the region's chunk queue for one scheduled pass: rank 0 resets,
-  /// a barrier publishes it.  The closing barrier of the *previous* loop
-  /// guarantees no rank is still claiming from the old pass.
+  /// a barrier publishes it.  The barrier that closed the *previous*
+  /// scheduled pass guarantees no rank is still claiming from it.
   void arm(int rank, long lo, long hi, Schedule sched) {
     if (rank == 0) queue_.reset(lo, hi, sched, team_.size());
     team_.barrier();
@@ -230,6 +241,7 @@ class ParallelRegion {
 
   WorkerTeam& team_;
   ChunkQueue queue_;
+  std::any slots_;  ///< per-chunk partials of a non-double reduce()
   alignas(64) std::atomic<std::size_t> cursor_{0};
 };
 

@@ -24,9 +24,11 @@
 // chunk order — bit-identical across runs at any interleaving.
 
 #include <atomic>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -194,8 +196,7 @@ inline void record_loop_iters(int rank, long iters) {
 
 /// SPMD claim loop: drains `queue` from inside a team.run body, invoking
 /// body(lo, hi) per claimed chunk; records this rank's iteration count and
-/// returns it.  Used by the kernels that schedule their own phases (CG's
-/// mat-vec, IS's histogram passes).
+/// returns it.
 template <class Body>
 long claim_chunks(ChunkQueue& queue, int rank, const Body& body) {
   long iters = 0;
@@ -210,5 +211,65 @@ long claim_chunks(ChunkQueue& queue, int rank, const Body& body) {
   detail::record_loop_iters(rank, iters);
   return iters;
 }
+
+namespace detail {
+
+/// One rank's share of a loop pass over [lo, hi) — the per-rank loop behind
+/// every team loop (parallel_for / parallel_ranges, ParallelRegion::ranges,
+/// the par::Forked and par::Fused shapes).  Static runs body(lo_r, hi_r) once
+/// on the rank's partition block; Dynamic/Guided run it per chunk claimed
+/// from `queue`, which the caller has armed for this pass.  The rank's
+/// iteration count lands in team/loop_iters either way.
+template <class Body>
+void run_share(ChunkQueue& queue, Schedule sched, long lo, long hi, int rank,
+               int nranks, const Body& body) {
+  if (sched.kind == Schedule::Kind::Static) {
+    const Range r = partition(lo, hi, rank, nranks);
+    body(r.lo, r.hi);
+    record_loop_iters(rank, r.size());
+    return;
+  }
+  claim_chunks(queue, rank, body);
+}
+
+/// The Reduce injection site of every ordered reduction: a nan-poison spec
+/// replaces a double partial with NaN.  Partials of other types pass through.
+template <class T>
+T poison_partial(int rank, T value) {
+  if constexpr (std::is_same_v<T, double>)
+    return fault::poison(rank, value);
+  else
+    return value;
+}
+
+/// Chunk-ordered partials of a Dynamic/Guided reduction: claims chunk
+/// indices from `cursor` over the precomputed `chunks` (schedule_chunks) and
+/// stores partial[c] = body(rank, chunk c).  Chunk boundaries depend only on
+/// the schedule, so combining the partials in chunk order is deterministic
+/// whichever rank claims which chunk.
+template <class T, class Partials, class Body>
+void claim_partials(std::atomic<std::size_t>& cursor,
+                    const std::vector<Range>& chunks, Partials& partial,
+                    int rank, const Body& body) {
+  long iters = 0;
+  for (;;) {
+    const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+    if (c >= chunks.size()) break;
+    partial[c] = poison_partial<T>(rank, body(rank, chunks[c].lo, chunks[c].hi));
+    iters += chunks[c].size();
+  }
+  record_loop_iters(rank, iters);
+}
+
+/// The ordered combine of every reduction: T{} += part(0) += part(1) ...,
+/// in slot order (rank order under Static, chunk order otherwise).
+template <class T, class Part>
+T combine_ordered(std::size_t n, const Part& part) {
+  T total{};
+  for (std::size_t i = 0; i < n; ++i) total += part(i);
+  return total;
+}
+
+}  // namespace detail
 
 }  // namespace npb

@@ -69,12 +69,6 @@ struct TeamOptions {
   /// parallel_reduce_sum calls (call sites can still pass an explicit
   /// Schedule).  Static reproduces the paper's block partition bit-for-bit.
   Schedule schedule{};
-  /// When true, benchmark time-step bodies run as one fused SPMD region per
-  /// iteration (spmd() + in-region collectives, see par/region.hpp) instead
-  /// of one fork/join dispatch per loop.  Results are bit-identical either
-  /// way for a fixed schedule and thread count; the knob exists for the
-  /// section 5.2 overhead ablation (--fused=on|off).
-  bool fused = true;
   /// Barrier watchdog timeout in milliseconds; > 0 starts a poll thread
   /// that detects a barrier stuck past the timeout (some ranks parked, at
   /// least one absent), blames the absent ranks through obs
@@ -83,11 +77,6 @@ struct TeamOptions {
   /// hanging.  Must exceed the longest healthy time step.  0 (default)
   /// compiles the timestamps and the thread away at runtime.
   long watchdog_ms = 0;
-  /// Kernel mode this team executes (native / java / vec).  The kernel
-  /// *selection* is compile-time — each driver dispatches to the per-mode
-  /// translation unit — but the runtime layers see the mode here: a degraded
-  /// retry re-runs at the same mode, and obs/bench reports label rows by it.
-  Mode mode = Mode::Native;
   /// Execution personality of this team's threads: Spmd (default — the
   /// chunk-queue master-workers shape, bit-identical to every prior
   /// release) or Steal (the same threads drive per-rank work-stealing
@@ -102,8 +91,7 @@ struct TeamOptions {
   /// schedule or watchdog.
   friend bool operator==(const TeamOptions& a, const TeamOptions& b) noexcept {
     return a.barrier == b.barrier && a.warmup_spins == b.warmup_spins &&
-           a.schedule == b.schedule && a.fused == b.fused &&
-           a.watchdog_ms == b.watchdog_ms && a.mode == b.mode &&
+           a.schedule == b.schedule && a.watchdog_ms == b.watchdog_ms &&
            a.runtime == b.runtime;
   }
 };
@@ -143,10 +131,6 @@ class WorkerTeam {
 
   /// The team's default loop schedule (TeamOptions::schedule).
   const Schedule& schedule() const noexcept { return opts_.schedule; }
-
-  /// Whether benchmark drivers should fuse their time-step bodies into one
-  /// SPMD region per iteration (TeamOptions::fused).
-  bool fused() const noexcept { return opts_.fused; }
 
   /// How many TeamRefs have borrowed this team so far.  The service
   /// scheduler reads it around a job to report whether the driver really
@@ -317,11 +301,13 @@ class ReduceScratchGuard {
 /// borrows the pooled team only when it matches the requested shape exactly
 /// (same width, same TeamOptions) and otherwise builds its own — so a
 /// standalone `npbrun bt` behaves exactly as before, while a service job
-/// rides the pool's warm threads (each borrow is counted, see borrows()).  The borrowed team's lifetime is managed by
-/// the pool; the owned team dies with the ref.
+/// rides the pool's warm threads (each borrow is counted, see borrows()).
+/// The borrowed team's lifetime is managed by the pool; the owned team dies
+/// with the ref.  A serial run (nthreads <= 0) holds no team at all.
 class TeamRef {
  public:
   TeamRef(int nthreads, const TeamOptions& opts, WorkerTeam* pooled) {
+    if (nthreads <= 0) return;
     if (pooled != nullptr && pooled->size() == nthreads &&
         pooled->options() == opts) {
       team_ = pooled;
@@ -338,7 +324,7 @@ class TeamRef {
   WorkerTeam& operator*() noexcept { return *team_; }
   WorkerTeam* operator->() noexcept { return team_; }
   WorkerTeam* get() noexcept { return team_; }
-  bool borrowed() const noexcept { return owned_ == nullptr; }
+  bool borrowed() const noexcept { return team_ != nullptr && owned_ == nullptr; }
 
  private:
   std::unique_ptr<WorkerTeam> owned_;

@@ -1,8 +1,6 @@
 #include "sp/sp.hpp"
 
 #include "sp/sp_impl.hpp"
-#include "fault/fault.hpp"
-#include "mem/mem.hpp"
 
 namespace npb {
 
@@ -22,16 +20,10 @@ pseudoapp::AppParams sp_params(ProblemClass cls) noexcept {
 RunResult run_sp(const RunConfig& cfg) {
   using namespace sp_detail;
   const AppParams p = sp_params(cfg.cls);
-  const TeamOptions topts = team_options(cfg);
-  const fault::ScopedFaultSession fault_scope(cfg.fault);
-  const ckpt::ScopedCkptSession ckpt_scope(ckpt_meta("SP", cfg), cfg.ckpt);
-  const mem::ScopedMemConfig mem_scope(cfg.mem);
-
-  const AppOutput o = cfg.mode == Mode::Java
-                          ? sp_run<Checked>(p, cfg.threads, topts, cfg.team)
-                          : cfg.mode == Mode::Vec
-                                ? sp_run<Unchecked, true>(p, cfg.threads, topts, cfg.team)
-                                : sp_run<Unchecked>(p, cfg.threads, topts, cfg.team);
+  const AppOutput o = run_kernel("SP", cfg, [&](auto m, const par::Launch& run) {
+    using M = decltype(m);
+    return sp_run<typename M::Policy, M::vec>(p, run);
+  });
 
   // Per point per iteration: RHS stencil (~500 flops), six 5x5 transforms
   // (~330) and 15 pentadiagonal row eliminations (~300).

@@ -3,14 +3,11 @@
 // Kernel template for SP; explicitly instantiated in sp_native.cpp and
 // sp_java.cpp (see ep_impl.hpp for the pattern).
 
-#include <optional>
-
 #include "common/wtime.hpp"
 #include "fault/retry.hpp"
 #include "mem/mem.hpp"
 #include "obs/obs.hpp"
-#include "par/parallel_for.hpp"
-#include "par/region.hpp"
+#include "par/exec.hpp"
 #include "par/team.hpp"
 #include "pseudoapp/app.hpp"
 #include "pseudoapp/field_impl.hpp"
@@ -219,27 +216,13 @@ void transform_planes_vec(Fields<P>& f, const Mat5& m, double scale, long lo,
       }
 }
 
-template <class F>
-void over_range(WorkerTeam* team, long n, const F& body) {
-  if (team == nullptr) {
-    body(1, n - 1);
-  } else {
-    team->run([&](int rank) {
-      const Range r = partition(1, n - 1, rank, team->size());
-      body(r.lo, r.hi);
-    });
-  }
-}
-
 template <class P, bool V = false>
-AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
-           WorkerTeam* pooled = nullptr) {
+AppOutput sp_run(const AppParams& prm, const par::Launch& run) {
   // Team before the fields: under FirstTouch each rank commits the
   // k-plane slabs it will sweep, instead of every page faulting in on
   // the master during init_fields.
-  std::optional<TeamRef> team_storage;
-  if (threads > 0) team_storage.emplace(threads, topts, pooled);
-  WorkerTeam* team = team_storage ? team_storage->get() : nullptr;
+  TeamRef team_ref(run.threads, run.topts, run.pooled);
+  WorkerTeam* team = team_ref.get();
   // Loops here partition statically whatever the team's default schedule.
   const mem::ScopedTeamPlacement placement(team, Schedule{});
 
@@ -255,8 +238,13 @@ AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
   const obs::RegionId r_zsolve = obs::region("SP/z_solve");
   const obs::RegionId r_add = obs::region("SP/add");
 
+  // Every phase sweeps the interior k-planes [1, n-1) in static slabs.
+  auto slabs = [n](auto& ex, const auto& body) {
+    ex.ranges(Schedule{}, 1, n - 1, body);
+  };
+  auto rhs_planes = [&](int, long lo, long hi) { compute_rhs_planes(f, lo, hi); };
   auto do_rhs = [&] {
-    over_range(team, n, [&](long lo, long hi) { compute_rhs_planes(f, lo, hi); });
+    par::run(team, false, [&](auto& ex) { slabs(ex, rhs_planes); });
   };
   auto transform_lohi = [&](const Mat5& m, double scale, long lo, long hi) {
     if constexpr (V)
@@ -264,19 +252,13 @@ AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
     else
       transform_planes(f, m, scale, lo, hi);
   };
-  auto transform = [&](const Mat5& m, double scale) {
-    obs::ScopedTimer ot(r_transform);
-    over_range(team, n,
-               [&](long lo, long hi) { transform_lohi(m, scale, lo, hi); });
-  };
 
   AppOutput out;
   do_rhs();
   out.rhs_initial = rhs_norms(f);
   out.err_initial = error_norms(f);
 
-  // Phase bodies over a slab [lo, hi), shared verbatim by the fused and
-  // forked drivers so both partition identically (bit-identical results).
+  // Phase bodies over a slab [lo, hi).
   auto x_solve = [&](long lo, long hi, PentaWork<P>& ws) {
     for (long j = lo; j < hi; ++j)
       for (long k = 1; k < n - 1; ++k)
@@ -352,157 +334,46 @@ AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
   // step carries into the next one (phi, forcing and ue are init-time
   // constants, rhs is rebuilt from u), so the checkpoint is just u.
   fault::Checkpoint ckpt;
-  std::optional<fault::StepRunner> steps;
-  if (team != nullptr) {
-    ckpt.add(f.u.data(), f.u.size() * sizeof(double));
-    steps.emplace(*team, topts, ckpt);
-  }
-
-  // Forked phase driver over the width actually running (`nt`), so a
-  // degraded retry repartitions instead of reading stale slabs.
-  auto over_nt = [&](WorkerTeam& tm, int nt, const auto& body) {
-    tm.run([&](int rank) {
-      const Range r = partition(1, n - 1, rank, nt);
-      body(r.lo, r.hi);
-    });
-  };
+  ckpt.add(f.u.data(), f.u.size() * sizeof(double));
+  fault::Steps steps(team, run.fused, ckpt);
 
   const double t0 = wtime();
   for (int it = 0; it < prm.iterations; ++it) {
-    if (team == nullptr) {
-      // Serial: same phase sequence, no dispatches.
-      {
-        obs::ScopedTimer ot(r_rhs);
-        do_rhs();
-      }
-      PentaWork<P> ws(n);
-      transform(f.sys.txinv, dt);
-      {
-        obs::ScopedTimer ot(r_xsolve);
-        x_solve(1, n - 1, ws);
-      }
-      transform(f.sys.tx, 1.0);
-      transform(f.sys.tyinv, 1.0);
-      {
-        obs::ScopedTimer ot(r_ysolve);
-        y_solve(1, n - 1, ws);
-      }
-      transform(f.sys.ty, 1.0);
-      transform(f.sys.tzinv, 1.0);
-      {
-        obs::ScopedTimer ot(r_zsolve);
-        z_solve(1, n - 1, ws);
-      }
-      transform(f.sys.tz, 1.0);
-      {
-        obs::ScopedTimer ot(r_add);
-        add_phase(1, n - 1);
-      }
-      continue;
-    }
-    steps->step(it, [&](WorkerTeam& tm, int nt) {
-      if (topts.fused) {
-        // Fused: one team dispatch per time step.  The eleven phases of the
-        // SP step (rhs, three transform/solve/transform triplets, add) run
-        // resident inside one SPMD region with a barrier at each phase
-        // boundary; the pentadiagonal workspace is allocated once per rank
-        // per step.
-        spmd(tm, [&](ParallelRegion& rg, int rank) {
-          const Range r = partition(1, n - 1, rank, nt);
-          PentaWork<P> ws(n);
-          auto transform_rg = [&](const Mat5& m, double scale) {
-            obs::ScopedTimer ot(r_transform);
-            transform_lohi(m, scale, r.lo, r.hi);
-          };
-          {
-            obs::ScopedTimer ot(r_rhs);
-            compute_rhs_planes(f, r.lo, r.hi);
-          }
-          rg.barrier();
-          transform_rg(f.sys.txinv, dt);
-          rg.barrier();
-          {
-            obs::ScopedTimer ot(r_xsolve);
-            x_solve(r.lo, r.hi, ws);
-          }
-          rg.barrier();
-          transform_rg(f.sys.tx, 1.0);
-          rg.barrier();
-          transform_rg(f.sys.tyinv, 1.0);
-          rg.barrier();
-          {
-            obs::ScopedTimer ot(r_ysolve);
-            y_solve(r.lo, r.hi, ws);
-          }
-          rg.barrier();
-          transform_rg(f.sys.ty, 1.0);
-          rg.barrier();
-          transform_rg(f.sys.tzinv, 1.0);
-          rg.barrier();
-          {
-            obs::ScopedTimer ot(r_zsolve);
-            z_solve(r.lo, r.hi, ws);
-          }
-          rg.barrier();
-          transform_rg(f.sys.tz, 1.0);
-          rg.barrier();
-          {
-            obs::ScopedTimer ot(r_add);
-            add_phase(r.lo, r.hi);
-          }
+    // The eleven phases of the SP step (rhs, three transform/solve/transform
+    // triplets, add) separated by sync(): one dispatch each when forked, one
+    // region with ten barriers when fused.  The pentadiagonal workspace
+    // exists once per rank per step.
+    steps.step(it, [&](auto& ex) {
+      auto ws = ex.workspace([n] { return PentaWork<P>(n); });
+      auto phase = [&](obs::RegionId id, const auto& body) {
+        obs::ScopedTimer ot(id);
+        slabs(ex, body);
+      };
+      auto transform = [&](const Mat5& m, double scale) {
+        phase(r_transform, [&](int, long lo, long hi) {
+          transform_lohi(m, scale, lo, hi);
         });
-      } else {
-        // Forked: one fork/join dispatch per phase (the paper's cost model).
-        auto transform_nt = [&](const Mat5& m, double scale) {
-          obs::ScopedTimer ot(r_transform);
-          over_nt(tm, nt,
-                  [&](long lo, long hi) { transform_lohi(m, scale, lo, hi); });
-        };
-        {
-          obs::ScopedTimer ot(r_rhs);
-          over_nt(tm, nt,
-                  [&](long lo, long hi) { compute_rhs_planes(f, lo, hi); });
-        }
-
-        // x sweep (dt folded into the first characteristic transform).
-        transform_nt(f.sys.txinv, dt);
-        {
-          obs::ScopedTimer ot(r_xsolve);
-          over_nt(tm, nt, [&](long lo, long hi) {
-            PentaWork<P> ws(n);
-            x_solve(lo, hi, ws);
-          });
-        }
-        transform_nt(f.sys.tx, 1.0);
-
-        // y sweep.
-        transform_nt(f.sys.tyinv, 1.0);
-        {
-          obs::ScopedTimer ot(r_ysolve);
-          over_nt(tm, nt, [&](long lo, long hi) {
-            PentaWork<P> ws(n);
-            y_solve(lo, hi, ws);
-          });
-        }
-        transform_nt(f.sys.ty, 1.0);
-
-        // z sweep.
-        transform_nt(f.sys.tzinv, 1.0);
-        {
-          obs::ScopedTimer ot(r_zsolve);
-          over_nt(tm, nt, [&](long lo, long hi) {
-            PentaWork<P> ws(n);
-            z_solve(lo, hi, ws);
-          });
-        }
-        transform_nt(f.sys.tz, 1.0);
-
-        // add: u += dv.
-        {
-          obs::ScopedTimer ot(r_add);
-          over_nt(tm, nt, add_phase);
-        }
-      }
+        ex.sync();
+      };
+      phase(r_rhs, rhs_planes);
+      ex.sync();
+      // x sweep (dt folded into the first characteristic transform).
+      transform(f.sys.txinv, dt);
+      phase(r_xsolve, [&](int rank, long lo, long hi) { x_solve(lo, hi, ws[rank]); });
+      ex.sync();
+      transform(f.sys.tx, 1.0);
+      // y sweep.
+      transform(f.sys.tyinv, 1.0);
+      phase(r_ysolve, [&](int rank, long lo, long hi) { y_solve(lo, hi, ws[rank]); });
+      ex.sync();
+      transform(f.sys.ty, 1.0);
+      // z sweep.
+      transform(f.sys.tzinv, 1.0);
+      phase(r_zsolve, [&](int rank, long lo, long hi) { z_solve(lo, hi, ws[rank]); });
+      ex.sync();
+      transform(f.sys.tz, 1.0);
+      // add: u += dv.
+      phase(r_add, [&](int, long lo, long hi) { add_phase(lo, hi); });
     });
   }
   out.seconds = wtime() - t0;
@@ -513,8 +384,8 @@ AppOutput sp_run(const AppParams& prm, int threads, const TeamOptions& topts,
   return out;
 }
 
-extern template AppOutput sp_run<Unchecked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput sp_run<Checked>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
-extern template AppOutput sp_run<Unchecked, true>(const AppParams&, int, const TeamOptions&, WorkerTeam*);
+extern template AppOutput sp_run<Unchecked>(const AppParams&, const par::Launch&);
+extern template AppOutput sp_run<Checked>(const AppParams&, const par::Launch&);
+extern template AppOutput sp_run<Unchecked, true>(const AppParams&, const par::Launch&);
 
 }  // namespace npb::sp_detail

@@ -323,10 +323,10 @@ TEST(StepRunner, UnarmedFastPathRunsBodyOnce) {
   fault::Checkpoint ckpt;
   fault::StepRunner steps(team, topts, ckpt);
   int calls = 0;
-  steps.step(1, [&](WorkerTeam& tm, int nt) {
+  steps.step(1, [&](WorkerTeam& tm) {
     ++calls;
     EXPECT_EQ(&tm, &team);
-    EXPECT_EQ(nt, 2);
+    EXPECT_EQ(tm.size(), 2);
   });
   EXPECT_EQ(calls, 1);
   EXPECT_FALSE(steps.degraded());
@@ -346,11 +346,10 @@ TEST(StepRunner, TransientThrowIsRetriedAndStateRestored) {
     int attempts = 0;
     // The Region hook in worker dispatch crosses once per rank per run(), so
     // step 5's first attempt throws on rank 1 and the retry goes clean.
-    steps.step(it, [&](WorkerTeam& tm, int nt) {
+    steps.step(it, [&](WorkerTeam& tm) {
       ++attempts;
       x[0] += 1.0;  // would double-count without restore
       tm.run([&](int rank) { x[16 + static_cast<std::size_t>(rank)] += 1.0; });
-      (void)nt;
     });
     total_attempts += attempts;
     EXPECT_EQ(attempts, it == 5 ? 2 : 1) << "step " << it;
@@ -375,7 +374,7 @@ TEST(StepRunner, UnhealthyResultTriggersRetry) {
   int attempts = 0;
   steps.step(
       2,
-      [&](WorkerTeam&, int) {
+      [&](WorkerTeam&) {
         ++attempts;
         // Model a reduction whose partial goes through the poison hook.
         residual = fault::poison(0, 1.0) + fault::poison(1, 1.0);
@@ -395,8 +394,8 @@ TEST(StepRunner, PersistentFaultDegradesWidth) {
   fault::StepRunner steps(team, topts, ckpt);
 
   std::atomic<int> widest{0};
-  steps.step(1, [&](WorkerTeam& tm, int nt) {
-    widest.store(nt, std::memory_order_relaxed);
+  steps.step(1, [&](WorkerTeam& tm) {
+    widest.store(tm.size(), std::memory_order_relaxed);
     tm.run([](int) {});
   });
   EXPECT_TRUE(steps.degraded());
@@ -406,9 +405,9 @@ TEST(StepRunner, PersistentFaultDegradesWidth) {
 
   // Later steps stay at the degraded width without re-failing.
   int attempts = 0;
-  steps.step(2, [&](WorkerTeam& tm, int nt) {
+  steps.step(2, [&](WorkerTeam& tm) {
     ++attempts;
-    EXPECT_EQ(nt, 2);
+    EXPECT_EQ(tm.size(), 2);
     tm.run([](int) {});
   });
   EXPECT_EQ(attempts, 1);
@@ -422,7 +421,7 @@ TEST(StepRunner, ExhaustionWithDegradationDisabledThrows) {
   fault::Checkpoint ckpt;
   fault::StepRunner steps(team, topts, ckpt);
   EXPECT_THROW(
-      steps.step(1, [&](WorkerTeam& tm, int) { tm.run([](int) {}); }),
+      steps.step(1, [&](WorkerTeam& tm) { tm.run([](int) {}); }),
       std::runtime_error);
 }
 
@@ -467,7 +466,7 @@ TEST(Watchdog, StepRunnerRetriesAfterWatchdogAbort) {
 
   std::atomic<bool> hang_once{true};
   int attempts = 0;
-  steps.step(1, [&](WorkerTeam& tm, int) {
+  steps.step(1, [&](WorkerTeam& tm) {
     ++attempts;
     x[0] += 1.0;
     tm.run([&](int rank) {

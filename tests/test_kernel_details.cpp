@@ -142,7 +142,8 @@ TEST(CgSolve, ConjGradSolvesToMachinePrecision) {
   Array1<double, Unchecked> pv(static_cast<std::size_t>(n));
   Array1<double, Unchecked> q(static_cast<std::size_t>(n));
   CgScalars sc;
-  conj_grad(m, x, z, r, pv, q, 25, nullptr, 0, 1, sc);
+  par::Serial serial;
+  conj_grad(m, x, z, r, pv, q, 25, serial, sc);
   EXPECT_LT(sc.rnorm, 1e-10);
   // And A z really reproduces x.
   spmv_rows(m, z, q, 0, n);

@@ -173,7 +173,7 @@ TEST(MgCycle, EachVCycleContractsTheResidual) {
   double prev = 1e300;
   for (int iters = 1; iters <= 3; ++iters) {
     const MgParams p{5, iters};
-    const MgOutput o = mg_run<Unchecked>(p, 0, TeamOptions{});
+    const MgOutput o = mg_run<Unchecked>(p, par::Launch{});
     EXPECT_LT(o.rnm2_final, prev) << iters << " iterations";
     EXPECT_LT(o.rnm2_final, o.rnm2_initial);
     prev = o.rnm2_final;

@@ -119,8 +119,8 @@ TEST(StealDeque, GrowsPastInitialCapacityPreservingOrder) {
 template <class Root>
 void with_scope(int nthreads, const Root& root) {
   WorkerTeam team(nthreads,
-                  TeamOptions{BarrierKind::CondVar, 0, Schedule{}, true, 0,
-                              Mode::Native, Runtime::Steal});
+                  TeamOptions{BarrierKind::CondVar, 0, Schedule{}, 0,
+                              Runtime::Steal});
   spmd(team, [&](ParallelRegion& rg, int rank) {
     rg.task_scope(rank, [&] {
       if (rank == 0) root();
@@ -287,8 +287,8 @@ TEST(TaskScope, StealCountersLandInTheObsSnapshot) {
   auto& reg = obs::ObsRegistry::instance();
   reg.reset();
   reg.set_enabled(true);
-  WorkerTeam team(3, TeamOptions{BarrierKind::CondVar, 0, Schedule{}, true, 0,
-                                 Mode::Native, Runtime::Steal});
+  WorkerTeam team(3, TeamOptions{BarrierKind::CondVar, 0, Schedule{}, 0,
+                                 Runtime::Steal});
   // Imbalanced fork tree from rank 0 only: ranks 1..2 can make progress
   // solely by stealing, so attempts accumulate.  A fast root can finish
   // before the thief threads are ever scheduled (they then flush zeroes),
