@@ -17,6 +17,7 @@
 #include "msg/is_mpi.hpp"
 #include "msg/msg_suite.hpp"
 #include "npb/registry.hpp"
+#include "obs/obs.hpp"
 #include "tolerance.hpp"
 
 namespace npb {
@@ -215,9 +216,11 @@ TEST(MsgChaos, LostShardIsBlamedDegradedAndStillVerifies) {
   // it in obs, re-fork at width 1, and still verify — never hang or crash.
   EXPECT_TRUE(r.verified) << r.verify_detail;
   EXPECT_EQ(r.procs, 1);
-  EXPECT_EQ(r.obs.lost_shard_count, 1u);
-  EXPECT_EQ(r.obs.lost_shard_sum, 1.0);  // rank id rides the sum
-  EXPECT_EQ(r.obs.degraded_width_count, 1u);
+  if (obs::kActive) {
+    EXPECT_EQ(r.obs.lost_shard_count, 1u);
+    EXPECT_EQ(r.obs.lost_shard_sum, 1.0);  // rank id rides the sum
+    EXPECT_EQ(r.obs.degraded_width_count, 1u);
+  }
 }
 
 TEST(MsgChaos, CorruptFrameIsBlamedShrunkPastAndStillVerifies) {
@@ -238,9 +241,11 @@ TEST(MsgChaos, CorruptFrameIsBlamedShrunkPastAndStillVerifies) {
   // a retry, never a silently wrong result.
   EXPECT_TRUE(r.verified) << r.verify_detail;
   EXPECT_EQ(r.procs, 1);
-  EXPECT_GE(r.obs.msg_crc_fail_count, 1u);
-  EXPECT_EQ(r.obs.msg_crc_fail_rank_sum, 1.0);  // blamed sender rides the sum
-  EXPECT_EQ(r.obs.degraded_width_count, 1u);
+  if (obs::kActive) {
+    EXPECT_GE(r.obs.msg_crc_fail_count, 1u);
+    EXPECT_EQ(r.obs.msg_crc_fail_rank_sum, 1.0);  // blamed sender rides the sum
+    EXPECT_EQ(r.obs.degraded_width_count, 1u);
+  }
 }
 
 TEST(MsgChaos, NoDegradeTurnsALostShardIntoAnError) {

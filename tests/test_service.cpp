@@ -178,6 +178,33 @@ TEST(ServiceProperties, EveryScheduleRunsOnThePooledTeam) {
   }
 }
 
+TEST(ServiceProperties, ModeAndFusionShareOneWarmTeam) {
+  // A team's threads depend on neither the kernel mode nor whether the
+  // driver fuses its steps, so same-width jobs that differ only there reuse
+  // the one pooled team: a single build, then warm hits, no rebuilds.
+  SchedulerOptions opts;
+  opts.pool_widths = {2};
+  JobScheduler scheduler(opts);
+  constexpr int kJobs = 8;
+  for (int i = 0; i < kJobs; ++i)
+    scheduler.submit_wait(make_spec(
+        "job-" + std::to_string(i), i % 4 < 2 ? "CG" : "IS", 2, kStatic,
+        i % 2 == 0 ? npb::Mode::Native : npb::Mode::Java,
+        /*fused=*/(i / 2) % 2 == 0));
+  const std::vector<JobOutcome> outcomes = scheduler.drain();
+  ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(kJobs));
+  for (const JobOutcome& out : outcomes) {
+    SCOPED_TRACE(out.spec.id);
+    EXPECT_TRUE(out.completed) << out.error;
+    EXPECT_TRUE(out.verified) << out.result.verify_detail;
+    EXPECT_TRUE(out.pooled_team);
+  }
+  const ServiceStats stats = scheduler.stats();
+  EXPECT_EQ(stats.pool.builds, 1u);
+  EXPECT_EQ(stats.pool.rebuilds, 0u);
+  EXPECT_EQ(stats.pool.warm_hits, static_cast<std::uint64_t>(kJobs - 1));
+}
+
 TEST(ServiceProperties, NoWidthOversubscription) {
   // Every job's width has a pool entry, so the peak concurrent width must
   // never exceed the pool's total: a lease is the only way onto a team.
@@ -281,13 +308,15 @@ TEST(ServiceProperties, CleanDrainOnShutdownAndObsRestore) {
     JobScheduler scheduler;
     // Global obs recording is suspended while a scheduler exists (its cells
     // are process-global and two teams' rank-r threads would race).
-    EXPECT_FALSE(npb::obs::ObsRegistry::instance().enabled());
+    if (npb::obs::kActive)
+      EXPECT_FALSE(npb::obs::ObsRegistry::instance().enabled());
     scheduler.submit_wait(make_spec("s1", "IS", 2));
     scheduler.submit_wait(make_spec("s2", "EP", 1));
     // No drain(): the destructor must finish both jobs, join the runner
     // threads, and restore obs recording.
   }
-  EXPECT_TRUE(npb::obs::ObsRegistry::instance().enabled());
+  if (npb::obs::kActive)
+    EXPECT_TRUE(npb::obs::ObsRegistry::instance().enabled());
 }
 
 TEST(ServiceProperties, SchedulerReusableAfterDrain) {
