@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "par/exec.hpp"
 #include "par/parallel_for.hpp"
 #include "par/partition.hpp"
 #include "par/pipeline.hpp"
@@ -262,6 +263,90 @@ TEST_P(SpmdBySchedule, InRegionCollectivesMatchForkedPrimitives) {
   // reduce_partials combines in rank order, exactly like the Static forked
   // reduction over the same partition.
   EXPECT_EQ(fused_dot, parallel_reduce_sum(team, Schedule{}, 0, n, body));
+}
+
+/// A non-double reduction type: the ordered combine takes any `+=` type.
+struct SumCount {
+  double sum = 0.0;
+  long count = 0;
+  SumCount& operator+=(const SumCount& o) {
+    sum += o.sum;
+    count += o.count;
+    return *this;
+  }
+};
+
+// One step body run under the three execution shapes of par/exec.hpp:
+// ranges cover every index once, single() runs once, a workspace is built
+// at most once per rank, and the ordered reductions — of doubles and of a
+// non-double type — are bit-identical between the forked and fused shapes
+// (the serial one sums a single partial, so only its count must agree).
+TEST_P(SpmdBySchedule, ExecShapesAgreeOnEveryCollective) {
+  const Schedule sched = GetParam();
+  const long n = 10007;
+  WorkerTeam team(4);
+  auto value = [](long i) { return std::sin(static_cast<double>(i)) * 1e-3; };
+  struct Result {
+    double sum = 0.0;
+    SumCount sc;
+    int singles = 0;
+    int built = 0;
+    bool covered = true;
+  };
+  auto run_shape = [&](WorkerTeam* tm, bool fused) {
+    Result res;
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    std::atomic<int> built{0};
+    par::run(tm, fused, [&](auto& ex) {
+      auto ws = ex.workspace([&] {
+        built.fetch_add(1, std::memory_order_relaxed);
+        return std::vector<long>(1, 0);
+      });
+      ex.ranges(sched, 0, n, [&](int rank, long lo, long hi) {
+        ws[rank][0] += hi - lo;
+        for (long i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+      });
+      ex.sync();
+      const double s = ex.template reduce<double>(
+          sched, 0, n, [&](int, long lo, long hi) {
+            double acc = 0.0;
+            for (long i = lo; i < hi; ++i) acc += value(i);
+            return acc;
+          });
+      const SumCount c = ex.template reduce<SumCount>(
+          sched, 0, n, [&](int, long lo, long hi) {
+            SumCount acc;
+            for (long i = lo; i < hi; ++i) {
+              acc.sum += value(i);
+              ++acc.count;
+            }
+            return acc;
+          });
+      ex.single([&] {
+        res.sum = s;
+        res.sc = c;
+        ++res.singles;
+      });
+    });
+    for (auto& h : hits) res.covered = res.covered && h.load() == 1;
+    res.built = built.load();
+    return res;
+  };
+
+  const Result serial = run_shape(nullptr, false);
+  const Result forked = run_shape(&team, false);
+  const Result fused = run_shape(&team, true);
+  for (const Result* r : {&serial, &forked, &fused}) {
+    EXPECT_TRUE(r->covered);
+    EXPECT_EQ(r->singles, 1);
+    EXPECT_EQ(r->sc.count, n);
+  }
+  EXPECT_EQ(serial.built, 1);
+  EXPECT_LE(forked.built, team.size());
+  EXPECT_EQ(fused.built, team.size());
+  EXPECT_EQ(forked.sum, fused.sum);
+  EXPECT_EQ(forked.sc.sum, fused.sc.sum);
+  EXPECT_EQ(forked.sum, parallel_reduce_sum(team, sched, 0, n, value));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -302,8 +302,9 @@ TEST(ScheduleObs, LoopItersSumToRangeSizeAndImbalanceIsSane) {
        {Schedule::static_(), Schedule::dynamic(), Schedule::guided()}) {
     reg.reset();
     WorkerTeam team(4);
-    volatile long sink = 0;
-    parallel_for(team, sched, 0, 10007, [&](long i) { sink = sink + i; });
+    std::atomic<long> sink{0};
+    parallel_for(team, sched, 0, 10007,
+                 [&](long i) { sink.fetch_add(i, std::memory_order_relaxed); });
     const obs::Snapshot snap = reg.snapshot();
     EXPECT_DOUBLE_EQ(snap.loop_iters_total, 10007.0) << to_string(sched);
     double ranks_sum = 0.0;
