@@ -308,15 +308,17 @@ TEST(ServiceProperties, CleanDrainOnShutdownAndObsRestore) {
     JobScheduler scheduler;
     // Global obs recording is suspended while a scheduler exists (its cells
     // are process-global and two teams' rank-r threads would race).
-    if (npb::obs::kActive)
+    if (npb::obs::kActive) {
       EXPECT_FALSE(npb::obs::ObsRegistry::instance().enabled());
+    }
     scheduler.submit_wait(make_spec("s1", "IS", 2));
     scheduler.submit_wait(make_spec("s2", "EP", 1));
     // No drain(): the destructor must finish both jobs, join the runner
     // threads, and restore obs recording.
   }
-  if (npb::obs::kActive)
+  if (npb::obs::kActive) {
     EXPECT_TRUE(npb::obs::ObsRegistry::instance().enabled());
+  }
 }
 
 TEST(ServiceProperties, SchedulerReusableAfterDrain) {
