@@ -48,11 +48,11 @@
 //                               (serial, fused) or on each worker's first
 //                               use (forked, so pages land on that worker).
 //
-// Serial and Fused also have rank().  A shape issues exactly the dispatches
-// and barriers its hand-written predecessors did: Forked one dispatch per
-// ranges/reduce/region, Fused one barrier per sync() and the barriers of its
-// collectives (two per Static reduce), Serial none.  Forked and fused add
-// the same partials in the same order, so results are bit-identical between
+// Serial and Fused also have rank().  Costs: Forked issues one dispatch per
+// ranges/reduce/region and no barrier; Fused one barrier per sync() plus
+// those inside its collectives (an arming barrier per scheduled pass, two
+// per Static reduce of doubles); Serial neither.  Forked and fused add the
+// same partials in the same order, so results are bit-identical between
 // them for a fixed schedule and width; Serial returns its one partial as is.
 
 #include <atomic>
