@@ -3,8 +3,8 @@
 // Kernel template for CG; explicitly instantiated in cg_native.cpp and
 // cg_java.cpp (see ep_impl.hpp for the pattern).
 
+#include <algorithm>
 #include <cmath>
-#include <map>
 #include <vector>
 
 #include "array/array.hpp"
@@ -44,37 +44,48 @@ struct Csr {
 /// vectors forced to include position i (value 0.5).  Serial and policy-free
 /// on purpose: generation is untimed and must be identical for every mode
 /// and thread count.
+///
+/// Assembly is flat, in the manner of NPB's sparse(): the x_i are stored
+/// end to end, their entries bucketed by row with a stable counting sort,
+/// and each row is summed into a dense accumulator from its bucket, then
+/// gathered in column order.  Entry x_i[a] of row r = pos[a] contributes
+/// omega_i x_i[a] x_i[b] to column pos[b], and a bucket lists its entries
+/// in increasing i, so every matrix entry is summed from 0.0 in generation
+/// order with rcond - shift added to the diagonal last — the rounding of
+/// the plain per-entry accumulation, bit for bit.
 template <class P>
 Csr<P> make_matrix(const CgParams& p) {
   const long n = p.n;
-  std::vector<std::map<int, double>> rows(static_cast<std::size_t>(n));
+  const auto un = static_cast<std::size_t>(n);
   double seed = kDefaultSeed;
   const double ratio = std::pow(p.rcond, 1.0 / static_cast<double>(n));
   double omega = 1.0;
 
+  // x_i occupies [start[i], start[i + 1]) of pos/val, scaled by omegas[i].
+  std::vector<std::size_t> start(un + 1, 0);
+  std::vector<double> omegas(un);
   std::vector<int> pos;
   std::vector<double> val;
-  pos.reserve(static_cast<std::size_t>(p.nonzer) + 1);
-  val.reserve(static_cast<std::size_t>(p.nonzer) + 1);
+  pos.reserve(un * (static_cast<std::size_t>(p.nonzer) + 1));
+  val.reserve(pos.capacity());
 
   for (long i = 0; i < n; ++i) {
-    pos.clear();
-    val.clear();
+    const std::size_t s = start[static_cast<std::size_t>(i)];
     // sprnvc: nonzer distinct random positions with random values.
-    while (pos.size() < static_cast<std::size_t>(p.nonzer)) {
+    while (pos.size() - s < static_cast<std::size_t>(p.nonzer)) {
       const double ve = randlc(seed, kDefaultMultiplier);
       const double vl = randlc(seed, kDefaultMultiplier);
       const int idx = static_cast<int>(vl * static_cast<double>(n));
       if (idx >= n) continue;
       bool dup = false;
-      for (int q : pos) dup = dup || (q == idx);
+      for (std::size_t q = s; q < pos.size(); ++q) dup = dup || (pos[q] == idx);
       if (dup) continue;
       pos.push_back(idx);
       val.push_back(ve);
     }
     // vecset: force the diagonal contribution.
     bool has_i = false;
-    for (std::size_t q = 0; q < pos.size(); ++q)
+    for (std::size_t q = s; q < pos.size(); ++q)
       if (pos[q] == static_cast<int>(i)) {
         val[q] = 0.5;
         has_i = true;
@@ -83,33 +94,79 @@ Csr<P> make_matrix(const CgParams& p) {
       pos.push_back(static_cast<int>(i));
       val.push_back(0.5);
     }
-    // Outer-product accumulation (symmetric by construction).
-    for (std::size_t a = 0; a < pos.size(); ++a)
-      for (std::size_t b = 0; b < pos.size(); ++b)
-        rows[static_cast<std::size_t>(pos[a])][pos[b]] += omega * val[a] * val[b];
+    omegas[static_cast<std::size_t>(i)] = omega;
+    start[static_cast<std::size_t>(i) + 1] = pos.size();
     omega *= ratio;
   }
-  for (long i = 0; i < n; ++i)
-    rows[static_cast<std::size_t>(i)][static_cast<int>(i)] += p.rcond - p.shift;
 
-  long nnz = 0;
-  for (const auto& r : rows) nnz += static_cast<long>(r.size());
+  // Stable counting sort of the entries by row (their position): row r's
+  // entries are by_row[bucket[r] .. bucket[r + 1]), in increasing i, and
+  // owner[q] is the vector x_i entry q belongs to.
+  const std::size_t nent = pos.size();
+  std::vector<std::size_t> bucket(un + 1, 0);
+  for (const int r : pos) ++bucket[static_cast<std::size_t>(r) + 1];
+  for (std::size_t r = 0; r < un; ++r) bucket[r + 1] += bucket[r];
+  std::vector<std::size_t> by_row(nent);
+  std::vector<int> owner(nent);
+  {
+    std::vector<std::size_t> next(bucket.begin(), bucket.end() - 1);
+    for (std::size_t i = 0; i < un; ++i)
+      for (std::size_t q = start[i]; q < start[i + 1]; ++q) {
+        by_row[next[static_cast<std::size_t>(pos[q])]++] = q;
+        owner[q] = static_cast<int>(i);
+      }
+  }
 
+  // Outer-product accumulation (symmetric by construction), one row at a
+  // time into acc; cols lists the columns the row touched.
+  std::vector<double> acc(un, 0.0);
+  std::vector<char> touched(un, 0);
+  std::vector<int> cols;
+  std::vector<long> rowptr(un + 1, 0);
+  std::vector<int> colidx;
+  std::vector<double> values;
+  std::size_t nterms = 0;  // x_i contributes len(x_i)^2 terms; bounds nnz
+  for (std::size_t i = 0; i < un; ++i) {
+    const std::size_t len = start[i + 1] - start[i];
+    nterms += len * len;
+  }
+  colidx.reserve(nterms);
+  values.reserve(nterms);
+  for (std::size_t r = 0; r < un; ++r) {
+    cols.clear();
+    for (std::size_t k = bucket[r]; k < bucket[r + 1]; ++k) {
+      const std::size_t a = by_row[k];
+      const auto i = static_cast<std::size_t>(owner[a]);
+      const double wa = omegas[i] * val[a];
+      for (std::size_t b = start[i]; b < start[i + 1]; ++b) {
+        const auto c = static_cast<std::size_t>(pos[b]);
+        if (!touched[c]) {
+          touched[c] = 1;
+          cols.push_back(pos[b]);
+        }
+        acc[c] += wa * val[b];
+      }
+    }
+    acc[r] += p.rcond - p.shift;
+    std::sort(cols.begin(), cols.end());
+    for (const int c : cols) {
+      colidx.push_back(c);
+      values.push_back(acc[static_cast<std::size_t>(c)]);
+      acc[static_cast<std::size_t>(c)] = 0.0;
+      touched[static_cast<std::size_t>(c)] = 0;
+    }
+    rowptr[r + 1] = static_cast<long>(colidx.size());
+  }
+
+  const std::size_t nnz = colidx.size();
   Csr<P> m;
   m.n = n;
-  m.rowptr = Array1<long, P>(static_cast<std::size_t>(n + 1));
-  m.colidx = Array1<int, P>(static_cast<std::size_t>(nnz));
-  m.values = Array1<double, P>(static_cast<std::size_t>(nnz));
-  long at = 0;
-  m.rowptr[0] = 0;
-  for (long i = 0; i < n; ++i) {
-    for (const auto& [c, v] : rows[static_cast<std::size_t>(i)]) {
-      m.colidx[static_cast<std::size_t>(at)] = c;
-      m.values[static_cast<std::size_t>(at)] = v;
-      ++at;
-    }
-    m.rowptr[static_cast<std::size_t>(i + 1)] = at;
-  }
+  m.rowptr = Array1<long, P>(un + 1);
+  m.colidx = Array1<int, P>(nnz);
+  m.values = Array1<double, P>(nnz);
+  std::copy(rowptr.begin(), rowptr.end(), m.rowptr.data());
+  std::copy(colidx.begin(), colidx.end(), m.colidx.data());
+  std::copy(values.begin(), values.end(), m.values.data());
   return m;
 }
 

@@ -98,13 +98,24 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
     });
   }
 
-  // Phase 1: private histogram over a share of the keys.
-  auto zero_rows = [&](int, long lo, long hi) {
+  // Phase 1: private histogram over a share of the keys.  One rank counts
+  // straight into hist (is_rank_serial's single pass), so it has no row
+  // to zero beforehand or to merge afterwards.
+  auto zero_rows = [&](int, long lo, long hi, int nt) {
+    if (nt == 1) {
+      for (long k = 0; k < max_key; ++k) hist[static_cast<std::size_t>(k)] = 0;
+      return;
+    }
     for (long t = lo; t < hi; ++t)
       for (long k = 0; k < max_key; ++k)
         thread_hist(static_cast<std::size_t>(t), static_cast<std::size_t>(k)) = 0;
   };
-  auto count_keys = [&](int rank, long lo, long hi) {
+  auto count_keys = [&](int rank, long lo, long hi, int nt) {
+    if (nt == 1) {
+      for (long i = lo; i < hi; ++i)
+        hist[static_cast<std::size_t>(keys[static_cast<std::size_t>(i)])]++;
+      return;
+    }
     const auto r = static_cast<std::size_t>(rank);
     for (long i = lo; i < hi; ++i)
       thread_hist(r, static_cast<std::size_t>(keys[static_cast<std::size_t>(i)]))++;
@@ -114,6 +125,7 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
   // after a degraded retry it is smaller than the allocation width, and
   // the stale rows above it must not be read.
   auto merge_buckets = [&](long lo, long hi, int nt) {
+    if (nt == 1) return;
     for (long k = lo; k < hi; ++k) {
       int sum = 0;
       for (int t = 0; t < nt; ++t)
@@ -156,9 +168,11 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
         keys[static_cast<std::size_t>(it)] = it;
         keys[static_cast<std::size_t>(nkeys - it)] = static_cast<int>(max_key - it);
       });
-      ex.ranges(Schedule{}, 0, nt, zero_rows);
+      ex.ranges(Schedule{}, 0, nt,
+                [&](int rank, long lo, long hi) { zero_rows(rank, lo, hi, nt); });
       ex.sync();  // publish the modified keys and the zeroed rows
-      ex.ranges(sched, 0, nkeys, count_keys);
+      ex.ranges(sched, 0, nkeys,
+                [&](int rank, long lo, long hi) { count_keys(rank, lo, hi, nt); });
       ex.sync();
       ex.ranges(sched, 0, max_key,
                 [&](int, long lo, long hi) { merge_buckets(lo, hi, nt); });

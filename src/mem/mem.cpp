@@ -37,10 +37,6 @@ thread_local detail::Context t_context;
 
 bool is_pow2(std::size_t v) noexcept { return v != 0 && (v & (v - 1)) == 0; }
 
-std::size_t round_up(std::size_t v, std::size_t to) noexcept {
-  return (v + to - 1) / to * to;
-}
-
 }  // namespace
 
 const char* to_string(Placement p) noexcept {

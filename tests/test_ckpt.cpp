@@ -60,9 +60,10 @@ void expect_rejected(const std::vector<unsigned char>& bytes,
     ckpt::decode(bytes, meta, nullptr);
     FAIL() << context << ": decode accepted a corrupt image";
   } catch (const ckpt::CkptError& e) {
-    if (!expect.empty())
+    if (!expect.empty()) {
       EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
           << context << ": unexpected message: " << e.what();
+    }
   } catch (const std::exception& e) {
     FAIL() << context << ": wrong exception type: " << e.what();
   }

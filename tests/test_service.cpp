@@ -138,7 +138,9 @@ TEST(ServiceDifferential, ConcurrentMatrixMatchesSequential) {
     // concurrent run injects exactly what the sequential replay injected.
     EXPECT_EQ(con.faults_injected, seq.faults_injected);
     EXPECT_EQ(con.degraded_width, seq.degraded_width);
-    if (jobs[i].cfg.fault.specs.empty()) EXPECT_EQ(con.faults_injected, 0u);
+    if (jobs[i].cfg.fault.specs.empty()) {
+      EXPECT_EQ(con.faults_injected, 0u);
+    }
   }
 
   // The persistent column really did degrade, in both worlds.
