@@ -4,8 +4,7 @@
 // JobScheduler concurrently, and prints / writes the service-level JSON.
 //
 // Used by CI's soak job under ASan, and by hand to size pools:
-//   bench_service_load --jobs=32 --pool=1,2,3 --faulted \
-//       --service-report=service.json
+//   bench_service_load --jobs=32 --pool=1,2,3 --faulted --service-report=service.json
 //
 // The spec stream is a pure function of --seed, so two runs with the same
 // flags produce the same job mix (queueing order and timings still vary).

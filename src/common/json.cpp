@@ -202,7 +202,7 @@ class Parser {
     while (true) {
       std::optional<Value> val = parse_value();
       if (!val.has_value()) return std::nullopt;
-      arr.push_back(std::move(*val));
+      arr.emplace_back(std::move(*val));
       skip_ws();
       if (consume(',')) continue;
       if (consume(']')) return arr;

@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -93,7 +94,11 @@ class Value {
     return it == o->end() ? nullptr : &it->second;
   }
 
-  void push_back(Value v) { std::get<Array>(v_).push_back(std::move(v)); }
+  /// Array append, constructing the element in place; returns it.
+  template <class... Args>
+  Value& emplace_back(Args&&... args) {
+    return std::get<Array>(v_).emplace_back(std::forward<Args>(args)...);
+  }
 
   /// Compact serialization: sorted object keys, escaped strings, no spaces.
   std::string dump() const;

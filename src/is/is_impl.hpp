@@ -76,10 +76,11 @@ IsOutput is_run(const long nkeys, const long max_key, const int iterations,
 
   Array1<int, P> keys(static_cast<std::size_t>(nkeys));
   Array1<int, P> hist(static_cast<std::size_t>(max_key));
-  // Per-rank private histograms (NPB OpenMP's work buffers); one row when
-  // serial.
-  Array2<int, P> thread_hist(static_cast<std::size_t>(team ? team->size() : 1),
-                             static_cast<std::size_t>(max_key));
+  // Per-rank private histograms (NPB OpenMP's work buffers); none when one
+  // rank counts, since it counts straight into hist.
+  Array2<int, P> thread_hist(
+      static_cast<std::size_t>(team && team->size() > 1 ? team->size() : 0),
+      static_cast<std::size_t>(max_key));
 
   std::array<long, kProbes> probe{};
   for (int j = 0; j < kProbes; ++j) probe[static_cast<std::size_t>(j)] =

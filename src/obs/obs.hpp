@@ -10,64 +10,10 @@
 // overhead goes, why LU's in-loop synchronization hurts — can be read back
 // directly.
 //
-// Reserved regions (fixed ids, recorded by the par runtime itself):
-//   team/run_span      master-side wall time of each WorkerTeam::run()
-//   team/dispatch      master notify -> worker start latency, per rank
-//   team/barrier_wait  arrive -> release time in team barriers, per rank
-//   team/pipeline_wait spin time in PipelineSync::wait_for, per rank
-//   team/loop_iters    iterations executed per rank in scheduled loops (the
-//                      "seconds" accumulator holds an iteration count here;
-//                      reports derive the per-rank distribution and its
-//                      max/mean imbalance from it)
-//   mem/bytes          fresh bytes obtained from the allocator by the mem
-//                      subsystem ("seconds" holds a byte count, like
-//                      loop_iters holds iterations; count = allocations)
-//   mem/arena_hit      bytes served from the arena pool instead of a fresh
-//                      allocation (count = pool hits)
-//   mem/first_touch    wall time of team-executed first-touch fills (real
-//                      seconds; count = placed fills)
-//   team/dispatches    number of WorkerTeam::run() dispatches ("seconds"
-//                      rides the count, 1.0 per dispatch, so fused-vs-forked
-//                      ablations can read dispatches/step off the snapshot)
-//   team/region_span   master-side wall time of each fused spmd() region
-//                      (count = regions entered)
-//   fault/injected     faults fired by the injector ("seconds" rides 1.0 per
-//                      fire, so total == count), per blamed rank
-//   fault/watchdog_fires  barrier-watchdog escalations to Barrier::abort()
-//                      (1.0 per fire)
-//   fault/stuck_rank   rank ids the watchdog blamed ("seconds" accumulates
-//                      the rank number per fire; count = blames, and the
-//                      per-slot breakdown shows which rank was stuck)
-//   fault/retries      time-step retries performed by StepRunner (1.0 each)
-//   fault/degraded_width  team widths adopted by graceful degradation
-//                      ("seconds" accumulates the new width per shrink;
-//                      count = shrinks)
-//   fault/lost_shard   worker processes of a hybrid shm run that died or
-//                      went silent mid-run ("seconds" accumulates the lost
-//                      rank id per loss, the stuck_rank convention; count =
-//                      losses, and the per-slot breakdown shows which shard)
-//   ckpt/saved         durable checkpoints flushed by StepRunner via the
-//                      ckpt session (1.0 per committed flush)
-//   ckpt/restored      resumes that restored carried state from a durable
-//                      checkpoint ("seconds" accumulates the restored step
-//                      number per resume; count = resumes)
-//   ckpt/crc_fail      checkpoint integrity failures: a flushed payload
-//                      whose readback CRC32C mismatched (the write was
-//                      discarded, the last good checkpoint kept) or a
-//                      corrupted in-memory shadow (1.0 per detection)
-//   msg/crc_fail       shm transport frames whose CRC32C check failed
-//                      ("seconds" accumulates the blamed sender rank per
-//                      detection, the stuck_rank convention; count =
-//                      detections)
-//   steal/steals       jobs obtained by work-stealing ("seconds" rides the
-//                      job count, per thief rank; count = scope flushes
-//                      that stole anything)
-//   steal/attempts     steal attempts, successful or not, per rank (same
-//                      count convention)
-//   steal/deque_max    deepest any rank's task deque got ("seconds"
-//                      accumulates each scope's per-rank depth watermark;
-//                      count = scopes, so value/count is the mean per-scope
-//                      peak)
+// The par, mem, fault, ckpt, msg and task runtimes record into reserved
+// regions with fixed ids.  kReserved below lists each one once; the
+// registry, snapshot(), both report emitters and the shard wire format all
+// iterate that table.
 //
 // Compile with -DNPB_OBS_DISABLED to replace the whole API with inline
 // no-ops (distinct inline namespace, so mixed translation units stay
@@ -75,6 +21,7 @@
 // snapshot field keeps one layout.
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,8 +44,9 @@ struct RegionStats {
   std::vector<std::uint64_t> rank_count;
 };
 
-/// One run's worth of instrumentation: user regions plus the team counters
-/// (extracted from the reserved regions).
+/// One run's worth of instrumentation: user regions plus one value/count
+/// pair per reserved region (kReserved below says which member is whose and
+/// what it holds).  Per-slot vectors use RegionStats's slot numbering.
 struct Snapshot {
   std::vector<RegionStats> regions;
   double run_span_seconds = 0.0;
@@ -109,16 +57,11 @@ struct Snapshot {
   std::uint64_t barrier_wait_count = 0;
   double pipeline_wait_seconds = 0.0;
   std::uint64_t pipeline_wait_count = 0;
-  /// team/loop_iters: total iterations executed in scheduled loops, the
-  /// per-slot distribution (slot 0 = master/serial, slot r+1 = rank r), and
-  /// how many per-rank loop passes recorded.
   double loop_iters_total = 0.0;
   std::uint64_t loop_record_count = 0;
   std::vector<double> loop_rank_iters;
   std::vector<std::uint64_t> loop_rank_count;
 
-  /// mem/*: allocation traffic of the mem subsystem (bytes ride in the
-  /// seconds accumulators, exactly like loop_iters rides iterations).
   double mem_bytes_allocated = 0.0;
   std::uint64_t mem_alloc_count = 0;
   double mem_arena_hit_bytes = 0.0;
@@ -126,17 +69,11 @@ struct Snapshot {
   double first_touch_seconds = 0.0;
   std::uint64_t first_touch_count = 0;
 
-  /// team/dispatches: WorkerTeam::run() dispatch count (the "seconds"
-  /// accumulator carries 1.0 per dispatch, so total == count).
   double dispatches_total = 0.0;
   std::uint64_t dispatches_count = 0;
-  /// team/region_span: master wall time spent inside fused spmd() regions.
   double region_span_seconds = 0.0;
   std::uint64_t region_count = 0;
 
-  /// fault/*: recovery activity (injector fires, watchdog escalations,
-  /// step retries, degraded team widths).  The value columns follow the
-  /// loop_iters convention: counts or rank ids ride the seconds accumulator.
   double fault_injected_total = 0.0;
   std::uint64_t fault_injected_count = 0;
   double watchdog_fires_total = 0.0;
@@ -150,8 +87,6 @@ struct Snapshot {
   double lost_shard_sum = 0.0;
   std::uint64_t lost_shard_count = 0;
 
-  /// ckpt/* and msg/crc_fail: durable checkpoint/restart activity and
-  /// transport integrity detections (same value-rides-seconds convention).
   double ckpt_saved_total = 0.0;
   std::uint64_t ckpt_saved_count = 0;
   double ckpt_restored_step_sum = 0.0;
@@ -161,10 +96,6 @@ struct Snapshot {
   double msg_crc_fail_rank_sum = 0.0;
   std::uint64_t msg_crc_fail_count = 0;
 
-  /// steal/*: work-stealing task-runtime activity, flushed per rank when a
-  /// task scope closes.  Job and attempt counts ride the seconds
-  /// accumulators (the loop_iters convention); the per-slot vectors keep
-  /// the per-rank breakdown (slot 0 = master/rank -1, slot r+1 = rank r).
   double steal_steals_total = 0.0;
   std::uint64_t steal_steals_count = 0;
   std::vector<double> steal_rank_steals;
@@ -221,7 +152,129 @@ inline constexpr RegionId kRegionCkptSaved = 19;
 inline constexpr RegionId kRegionCkptRestored = 20;
 inline constexpr RegionId kRegionCkptCrcFail = 21;
 inline constexpr RegionId kRegionMsgCrcFail = 22;
-inline constexpr int kReservedRegions = 23;
+
+/// One reserved region: the path it is interned under (also its CSV region
+/// name), the Snapshot members snapshot() fills from it, and the keys of the
+/// JSON report's `group` object they are written under.  A null key leaves
+/// that member out of the JSON; the CSV row and the shard wire format carry
+/// every member.  Many counters ride the "seconds" accumulator with a count,
+/// byte total, rank id or width instead of a time; each row says which.
+struct ReservedRegion {
+  RegionId id;
+  const char* path;
+  double Snapshot::*value;
+  std::uint64_t Snapshot::*count;
+  const char* group;
+  const char* value_key;
+  const char* count_key;
+  std::vector<double> Snapshot::*rank_values = nullptr;  // per-slot values
+  const char* rank_values_key = nullptr;
+  std::vector<std::uint64_t> Snapshot::*rank_counts = nullptr;
+};
+
+inline constexpr ReservedRegion kReserved[] = {
+    // Master-side wall time of each WorkerTeam::run().
+    {kRegionRunSpan, "team/run_span", &Snapshot::run_span_seconds,
+     &Snapshot::run_count, "team", "run_span_seconds", "run_count"},
+    // Master notify -> worker start latency, per rank.
+    {kRegionDispatch, "team/dispatch", &Snapshot::dispatch_seconds,
+     &Snapshot::dispatch_count, "team", "dispatch_seconds", "dispatch_count"},
+    // Arrive -> release time in team barriers, per rank.
+    {kRegionBarrierWait, "team/barrier_wait", &Snapshot::barrier_wait_seconds,
+     &Snapshot::barrier_wait_count, "team", "barrier_wait_seconds",
+     "barrier_wait_count"},
+    // Spin time in PipelineSync::wait_for, per rank.
+    {kRegionPipelineWait, "team/pipeline_wait",
+     &Snapshot::pipeline_wait_seconds, &Snapshot::pipeline_wait_count, "team",
+     "pipeline_wait_seconds", "pipeline_wait_count"},
+    // Iterations executed per rank in scheduled loops (value = iterations);
+    // the per-slot split feeds Snapshot::loop_imbalance().
+    {kRegionLoopIters, "team/loop_iters", &Snapshot::loop_iters_total,
+     &Snapshot::loop_record_count, "team", "loop_iters_total",
+     "loop_record_count", &Snapshot::loop_rank_iters, "loop_rank_iters",
+     &Snapshot::loop_rank_count},
+    // Fresh bytes obtained by the mem subsystem (value = bytes,
+    // count = allocations).
+    {kRegionMemBytes, "mem/bytes", &Snapshot::mem_bytes_allocated,
+     &Snapshot::mem_alloc_count, "mem", "bytes_allocated", "alloc_count"},
+    // Bytes served from the arena pool (value = bytes, count = pool hits).
+    {kRegionMemArenaHit, "mem/arena_hit", &Snapshot::mem_arena_hit_bytes,
+     &Snapshot::mem_arena_hit_count, "mem", "arena_hit_bytes",
+     "arena_hit_count"},
+    // Wall time of team-executed first-touch fills (count = placed fills).
+    {kRegionMemFirstTouch, "mem/first_touch", &Snapshot::first_touch_seconds,
+     &Snapshot::first_touch_count, "mem", "first_touch_seconds",
+     "first_touch_count"},
+    // WorkerTeam::run() dispatches (value rides 1.0 per dispatch).
+    {kRegionDispatches, "team/dispatches", &Snapshot::dispatches_total,
+     &Snapshot::dispatches_count, "team", nullptr, "dispatches"},
+    // Master-side wall time of each fused spmd() region.
+    {kRegionRegionSpan, "team/region_span", &Snapshot::region_span_seconds,
+     &Snapshot::region_count, "team", "region_span_seconds", "region_count"},
+    // Faults fired by the injector, per blamed rank (value rides 1.0 each).
+    {kRegionFaultInjected, "fault/injected", &Snapshot::fault_injected_total,
+     &Snapshot::fault_injected_count, "fault", nullptr, "injected"},
+    // Barrier-watchdog escalations to Barrier::abort() (1.0 each).
+    {kRegionFaultWatchdogFires, "fault/watchdog_fires",
+     &Snapshot::watchdog_fires_total, &Snapshot::watchdog_fires_count, "fault",
+     nullptr, "watchdog_fires"},
+    // Ranks the watchdog blamed (value sums the rank ids; the per-slot
+    // breakdown shows which rank was stuck).
+    {kRegionFaultStuckRank, "fault/stuck_rank", &Snapshot::stuck_rank_sum,
+     &Snapshot::stuck_rank_count, "fault", "stuck_rank_sum",
+     "stuck_rank_count"},
+    // Time-step retries performed by StepRunner (1.0 each).
+    {kRegionFaultRetries, "fault/retries", &Snapshot::fault_retries_total,
+     &Snapshot::fault_retries_count, "fault", nullptr, "retries"},
+    // Team widths adopted by graceful degradation (value sums the new widths;
+    // count = shrinks).
+    {kRegionFaultDegradedWidth, "fault/degraded_width",
+     &Snapshot::degraded_width_sum, &Snapshot::degraded_width_count, "fault",
+     "degraded_width_sum", "degraded_width_count"},
+    // Worker processes of a hybrid shm run that died or went silent (value
+    // sums the lost rank ids; count = losses).
+    {kRegionFaultLostShard, "fault/lost_shard", &Snapshot::lost_shard_sum,
+     &Snapshot::lost_shard_count, "fault", "lost_shard_sum",
+     "lost_shard_count"},
+    // Jobs obtained by work-stealing, per thief rank (value = jobs;
+    // count = scope flushes that stole anything).
+    {kRegionStealSteals, "steal/steals", &Snapshot::steal_steals_total,
+     &Snapshot::steal_steals_count, "steal", "steals", nullptr,
+     &Snapshot::steal_rank_steals, "rank_steals"},
+    // Steal attempts, successful or not, per rank (same convention).
+    {kRegionStealAttempts, "steal/attempts", &Snapshot::steal_attempts_total,
+     &Snapshot::steal_attempts_count, "steal", "attempts", nullptr,
+     &Snapshot::steal_rank_attempts, "rank_attempts"},
+    // Deepest task deque per rank and scope (value sums the watermarks;
+    // count = scopes, so value/count is the mean per-scope peak).
+    {kRegionStealDequeMax, "steal/deque_max", &Snapshot::steal_deque_max_sum,
+     &Snapshot::steal_deque_max_count, "steal", "deque_max_sum",
+     "scope_flushes", &Snapshot::steal_rank_deque_max, "rank_deque_max"},
+    // Durable checkpoints flushed by StepRunner (1.0 per committed flush).
+    {kRegionCkptSaved, "ckpt/saved", &Snapshot::ckpt_saved_total,
+     &Snapshot::ckpt_saved_count, "ckpt", nullptr, "saved"},
+    // Resumes from a durable checkpoint (value sums the restored step
+    // numbers; count = resumes).
+    {kRegionCkptRestored, "ckpt/restored", &Snapshot::ckpt_restored_step_sum,
+     &Snapshot::ckpt_restored_count, "ckpt", "restored_step_sum", "restored"},
+    // Checkpoint integrity failures: a flushed payload whose readback CRC32C
+    // mismatched, or a corrupted in-memory shadow (1.0 each).
+    {kRegionCkptCrcFail, "ckpt/crc_fail", &Snapshot::ckpt_crc_fail_total,
+     &Snapshot::ckpt_crc_fail_count, "ckpt", nullptr, "crc_fail"},
+    // Shm transport frames whose CRC32C check failed (value sums the blamed
+    // sender ranks; count = detections).
+    {kRegionMsgCrcFail, "msg/crc_fail", &Snapshot::msg_crc_fail_rank_sum,
+     &Snapshot::msg_crc_fail_count, "msg", "crc_fail_rank_sum", "crc_fail"},
+};
+inline constexpr int kReservedRegions = static_cast<int>(std::size(kReserved));
+
+static_assert(
+    [] {
+      for (int i = 0; i < kReservedRegions; ++i)
+        if (kReserved[i].id != i) return false;
+      return true;
+    }(),
+    "row i of kReserved must describe reserved id i");
 
 /// Worker ranks 0..kMaxRanks-1 get their own slot; higher ranks are dropped.
 inline constexpr int kMaxRanks = 32;

@@ -28,11 +28,14 @@ class ObsReport {
   ///                 barrier_wait_seconds, pipeline_wait_seconds, ...counts},
   ///           regions:[{name, seconds, count, rank_seconds, rank_count}]}]}
   /// Hybrid entries also carry "procs" and a "shards" array whose elements
-  /// repeat the team/mem/fault/regions shape per worker process.
+  /// repeat the team/mem/fault/regions shape per worker process.  The groups
+  /// and keys come from kReserved; common/json writes keys in sorted order
+  /// and numbers round-trip exact.
   std::string json() const;
 
-  /// Header + one row per (run, region); team counters appear as regions
-  /// named team/* so the flat file is self-contained.
+  /// Header + one row per (run, region): every kReserved row under its path,
+  /// team/loop_imbalance, the user regions, then one shard/N row per worker
+  /// process, so the flat file is self-contained.
   std::string csv() const;
 
   /// Writes json() — or csv() when `path` ends in ".csv" — to `path`.

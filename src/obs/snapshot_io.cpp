@@ -12,185 +12,87 @@ namespace {
 // are tiny (kMaxRegions regions, kMaxRanks+1 slots, <64-char names).
 constexpr std::uint64_t kMaxLen = 1u << 20;
 
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
+// Every scalar on the wire is 8 bytes copied as-is: a u64, or an f64's bits.
+template <class T>
+void put(std::vector<unsigned char>& out, T v) {
+  static_assert(sizeof v == 8);
   unsigned char b[sizeof v];
   std::memcpy(b, &v, sizeof v);
   out.insert(out.end(), b, b + sizeof v);
 }
 
-void put_f64(std::vector<unsigned char>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
+template <class T>
+void put_vec(std::vector<unsigned char>& out, const std::vector<T>& v) {
+  put<std::uint64_t>(out, v.size());
+  for (const T x : v) put(out, x);
 }
 
-std::uint64_t get_u64(const std::vector<unsigned char>& bytes, std::size_t& at) {
-  if (bytes.size() - at < sizeof(std::uint64_t) || at > bytes.size())
+template <class T>
+T get(const std::vector<unsigned char>& bytes, std::size_t& at) {
+  static_assert(sizeof(T) == 8);
+  if (bytes.size() - at < sizeof(T) || at > bytes.size())
     throw std::runtime_error("snapshot_io: truncated buffer");
-  std::uint64_t v;
+  T v;
   std::memcpy(&v, bytes.data() + at, sizeof v);
   at += sizeof v;
   return v;
 }
 
-double get_f64(const std::vector<unsigned char>& bytes, std::size_t& at) {
-  const std::uint64_t bits = get_u64(bytes, at);
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
 std::uint64_t get_len(const std::vector<unsigned char>& bytes, std::size_t& at) {
-  const std::uint64_t n = get_u64(bytes, at);
+  const std::uint64_t n = get<std::uint64_t>(bytes, at);
   if (n > kMaxLen) throw std::runtime_error("snapshot_io: implausible length");
   return n;
 }
 
+template <class T>
+void get_vec(const std::vector<unsigned char>& bytes, std::size_t& at,
+             std::vector<T>& v) {
+  v.resize(get_len(bytes, at));
+  for (T& x : v) x = get<T>(bytes, at);
+}
+
 }  // namespace
 
+// Reserved regions in kReserved order (value, count, then any per-slot
+// vectors), then the user regions.
 void serialize_snapshot(const Snapshot& snap, std::vector<unsigned char>& out) {
-  put_f64(out, snap.run_span_seconds);
-  put_u64(out, snap.run_count);
-  put_f64(out, snap.dispatch_seconds);
-  put_u64(out, snap.dispatch_count);
-  put_f64(out, snap.barrier_wait_seconds);
-  put_u64(out, snap.barrier_wait_count);
-  put_f64(out, snap.pipeline_wait_seconds);
-  put_u64(out, snap.pipeline_wait_count);
-  put_f64(out, snap.loop_iters_total);
-  put_u64(out, snap.loop_record_count);
-  put_u64(out, snap.loop_rank_iters.size());
-  for (const double v : snap.loop_rank_iters) put_f64(out, v);
-  put_u64(out, snap.loop_rank_count.size());
-  for (const std::uint64_t v : snap.loop_rank_count) put_u64(out, v);
-  put_f64(out, snap.mem_bytes_allocated);
-  put_u64(out, snap.mem_alloc_count);
-  put_f64(out, snap.mem_arena_hit_bytes);
-  put_u64(out, snap.mem_arena_hit_count);
-  put_f64(out, snap.first_touch_seconds);
-  put_u64(out, snap.first_touch_count);
-  put_f64(out, snap.dispatches_total);
-  put_u64(out, snap.dispatches_count);
-  put_f64(out, snap.region_span_seconds);
-  put_u64(out, snap.region_count);
-  put_f64(out, snap.fault_injected_total);
-  put_u64(out, snap.fault_injected_count);
-  put_f64(out, snap.watchdog_fires_total);
-  put_u64(out, snap.watchdog_fires_count);
-  put_f64(out, snap.stuck_rank_sum);
-  put_u64(out, snap.stuck_rank_count);
-  put_f64(out, snap.fault_retries_total);
-  put_u64(out, snap.fault_retries_count);
-  put_f64(out, snap.degraded_width_sum);
-  put_u64(out, snap.degraded_width_count);
-  put_f64(out, snap.lost_shard_sum);
-  put_u64(out, snap.lost_shard_count);
-  put_f64(out, snap.ckpt_saved_total);
-  put_u64(out, snap.ckpt_saved_count);
-  put_f64(out, snap.ckpt_restored_step_sum);
-  put_u64(out, snap.ckpt_restored_count);
-  put_f64(out, snap.ckpt_crc_fail_total);
-  put_u64(out, snap.ckpt_crc_fail_count);
-  put_f64(out, snap.msg_crc_fail_rank_sum);
-  put_u64(out, snap.msg_crc_fail_count);
-  put_f64(out, snap.steal_steals_total);
-  put_u64(out, snap.steal_steals_count);
-  put_u64(out, snap.steal_rank_steals.size());
-  for (const double v : snap.steal_rank_steals) put_f64(out, v);
-  put_f64(out, snap.steal_attempts_total);
-  put_u64(out, snap.steal_attempts_count);
-  put_u64(out, snap.steal_rank_attempts.size());
-  for (const double v : snap.steal_rank_attempts) put_f64(out, v);
-  put_f64(out, snap.steal_deque_max_sum);
-  put_u64(out, snap.steal_deque_max_count);
-  put_u64(out, snap.steal_rank_deque_max.size());
-  for (const double v : snap.steal_rank_deque_max) put_f64(out, v);
-  put_u64(out, snap.regions.size());
+  for (const ReservedRegion& r : kReserved) {
+    put(out, snap.*r.value);
+    put(out, snap.*r.count);
+    if (r.rank_values != nullptr) put_vec(out, snap.*r.rank_values);
+    if (r.rank_counts != nullptr) put_vec(out, snap.*r.rank_counts);
+  }
+  put<std::uint64_t>(out, snap.regions.size());
   for (const RegionStats& st : snap.regions) {
-    put_u64(out, st.name.size());
+    put<std::uint64_t>(out, st.name.size());
     out.insert(out.end(), st.name.begin(), st.name.end());
-    put_f64(out, st.seconds);
-    put_u64(out, st.count);
-    put_u64(out, st.rank_seconds.size());
-    for (const double v : st.rank_seconds) put_f64(out, v);
-    put_u64(out, st.rank_count.size());
-    for (const std::uint64_t v : st.rank_count) put_u64(out, v);
+    put(out, st.seconds);
+    put(out, st.count);
+    put_vec(out, st.rank_seconds);
+    put_vec(out, st.rank_count);
   }
 }
 
 Snapshot deserialize_snapshot(const std::vector<unsigned char>& bytes,
                               std::size_t& at) {
   Snapshot snap;
-  snap.run_span_seconds = get_f64(bytes, at);
-  snap.run_count = get_u64(bytes, at);
-  snap.dispatch_seconds = get_f64(bytes, at);
-  snap.dispatch_count = get_u64(bytes, at);
-  snap.barrier_wait_seconds = get_f64(bytes, at);
-  snap.barrier_wait_count = get_u64(bytes, at);
-  snap.pipeline_wait_seconds = get_f64(bytes, at);
-  snap.pipeline_wait_count = get_u64(bytes, at);
-  snap.loop_iters_total = get_f64(bytes, at);
-  snap.loop_record_count = get_u64(bytes, at);
-  snap.loop_rank_iters.resize(get_len(bytes, at));
-  for (double& v : snap.loop_rank_iters) v = get_f64(bytes, at);
-  snap.loop_rank_count.resize(get_len(bytes, at));
-  for (std::uint64_t& v : snap.loop_rank_count) v = get_u64(bytes, at);
-  snap.mem_bytes_allocated = get_f64(bytes, at);
-  snap.mem_alloc_count = get_u64(bytes, at);
-  snap.mem_arena_hit_bytes = get_f64(bytes, at);
-  snap.mem_arena_hit_count = get_u64(bytes, at);
-  snap.first_touch_seconds = get_f64(bytes, at);
-  snap.first_touch_count = get_u64(bytes, at);
-  snap.dispatches_total = get_f64(bytes, at);
-  snap.dispatches_count = get_u64(bytes, at);
-  snap.region_span_seconds = get_f64(bytes, at);
-  snap.region_count = get_u64(bytes, at);
-  snap.fault_injected_total = get_f64(bytes, at);
-  snap.fault_injected_count = get_u64(bytes, at);
-  snap.watchdog_fires_total = get_f64(bytes, at);
-  snap.watchdog_fires_count = get_u64(bytes, at);
-  snap.stuck_rank_sum = get_f64(bytes, at);
-  snap.stuck_rank_count = get_u64(bytes, at);
-  snap.fault_retries_total = get_f64(bytes, at);
-  snap.fault_retries_count = get_u64(bytes, at);
-  snap.degraded_width_sum = get_f64(bytes, at);
-  snap.degraded_width_count = get_u64(bytes, at);
-  snap.lost_shard_sum = get_f64(bytes, at);
-  snap.lost_shard_count = get_u64(bytes, at);
-  snap.ckpt_saved_total = get_f64(bytes, at);
-  snap.ckpt_saved_count = get_u64(bytes, at);
-  snap.ckpt_restored_step_sum = get_f64(bytes, at);
-  snap.ckpt_restored_count = get_u64(bytes, at);
-  snap.ckpt_crc_fail_total = get_f64(bytes, at);
-  snap.ckpt_crc_fail_count = get_u64(bytes, at);
-  snap.msg_crc_fail_rank_sum = get_f64(bytes, at);
-  snap.msg_crc_fail_count = get_u64(bytes, at);
-  snap.steal_steals_total = get_f64(bytes, at);
-  snap.steal_steals_count = get_u64(bytes, at);
-  snap.steal_rank_steals.resize(get_len(bytes, at));
-  for (double& v : snap.steal_rank_steals) v = get_f64(bytes, at);
-  snap.steal_attempts_total = get_f64(bytes, at);
-  snap.steal_attempts_count = get_u64(bytes, at);
-  snap.steal_rank_attempts.resize(get_len(bytes, at));
-  for (double& v : snap.steal_rank_attempts) v = get_f64(bytes, at);
-  snap.steal_deque_max_sum = get_f64(bytes, at);
-  snap.steal_deque_max_count = get_u64(bytes, at);
-  snap.steal_rank_deque_max.resize(get_len(bytes, at));
-  for (double& v : snap.steal_rank_deque_max) v = get_f64(bytes, at);
-  const std::uint64_t nregions = get_len(bytes, at);
-  snap.regions.resize(nregions);
+  for (const ReservedRegion& r : kReserved) {
+    snap.*r.value = get<double>(bytes, at);
+    snap.*r.count = get<std::uint64_t>(bytes, at);
+    if (r.rank_values != nullptr) get_vec(bytes, at, snap.*r.rank_values);
+    if (r.rank_counts != nullptr) get_vec(bytes, at, snap.*r.rank_counts);
+  }
+  snap.regions.resize(get_len(bytes, at));
   for (RegionStats& st : snap.regions) {
     const std::uint64_t namelen = get_len(bytes, at);
     if (bytes.size() - at < namelen)
       throw std::runtime_error("snapshot_io: truncated buffer");
     st.name.assign(reinterpret_cast<const char*>(bytes.data() + at), namelen);
     at += namelen;
-    st.seconds = get_f64(bytes, at);
-    st.count = get_u64(bytes, at);
-    st.rank_seconds.resize(get_len(bytes, at));
-    for (double& v : st.rank_seconds) v = get_f64(bytes, at);
-    st.rank_count.resize(get_len(bytes, at));
-    for (std::uint64_t& v : st.rank_count) v = get_u64(bytes, at);
+    st.seconds = get<double>(bytes, at);
+    st.count = get<std::uint64_t>(bytes, at);
+    get_vec(bytes, at, st.rank_seconds);
+    get_vec(bytes, at, st.rank_count);
   }
   return snap;
 }

@@ -4,7 +4,8 @@
 // plane: a forked worker snapshots its in-process registry and ships the
 // bytes up the result pipe; the parent deserializes into a ShardSnapshot.
 // Writer and reader are always the same binary (parent and its fork twin),
-// so the format is versionless: fixed-order scalars, then the user regions.
+// so the format is versionless: the reserved counters in kReserved order,
+// then the user regions.
 // Compiles identically under NPB_OBS_DISABLED — Snapshot is always defined,
 // a disabled build just ships all-zero snapshots.
 

@@ -28,7 +28,7 @@ json::Value job_json(const JobOutcome& out) {
   if (out.completed) {
     j["mops"] = out.result.mops;
     json::Value sums = json::Value::array();
-    for (const double c : out.result.checksums) sums.push_back(c);
+    for (const double c : out.result.checksums) sums.emplace_back(c);
     j["checksums"] = std::move(sums);
   }
   return j;
@@ -37,7 +37,7 @@ json::Value job_json(const JobOutcome& out) {
 json::Value service_json(const std::vector<JobOutcome>& outcomes,
                          const ServiceStats& stats) {
   json::Value jobs = json::Value::array();
-  for (const JobOutcome& out : outcomes) jobs.push_back(job_json(out));
+  for (const JobOutcome& out : outcomes) jobs.emplace_back(job_json(out));
 
   json::Value svc = json::Value::object();
   svc["jobs_submitted"] = stats.jobs_submitted;

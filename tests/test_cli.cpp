@@ -90,8 +90,8 @@ TEST(Json, DumpParseRoundTripIsStable) {
   Value v = Value::object();
   v["name"] = "CG \"quoted\"";
   v["sums"] = Value::array();
-  v["sums"].push_back(1.0 / 3.0);
-  v["sums"].push_back(-0.0);
+  v["sums"].emplace_back(1.0 / 3.0);
+  v["sums"].emplace_back(-0.0);
   v["n"] = 42;
   const std::string once = v.dump();
   const auto back = parse(once);
